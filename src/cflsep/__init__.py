@@ -26,7 +26,6 @@ from .refinement import (
     gen_language,
     max_eps_generalize,
     max_star_generalize,
-    refine_approx,
     star_generalize,
 )
 
@@ -70,7 +69,6 @@ __all__ = [
     "parse_file",
     "parse_named",
     "prestar",
-    "refine_approx",
     "render",
     "sccs",
     "shortest_witness",

@@ -7,23 +7,23 @@ Exit codes: 0 separable, 1 overlap, 2 unknown, 3 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
 from typing import Sequence
 
-from .engine import Config, Overlap, Separable, Unknown, _joint_witness, check_disjoint
-from .grammar import Cfg, GrammarError, enumerate_words, member
+from .engine import Config, Overlap, Separable, Unknown, check_disjoint
+from .grammar import Cfg, GrammarError, member
 from .grammar_io import ParseError, parse_named
-from .nfa import Nfa, accepts, to_dot
+from .nfa import Nfa, complement, intersect, is_empty, to_dot
+from .prestar import intersects
 
 EXIT_SEPARABLE = 0
 EXIT_OVERLAP = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
-
-_VALIDATE_WORD_LEN = 5
 
 
 class _UsageError(Exception):
@@ -96,17 +96,14 @@ def _validate_verdict(
                 return f"witness not in language of grammar #{i + 1}"
         return None
     if isinstance(verdict, Separable):
-        alphabet: list[str] = []
-        for a in verdict.approximations:
-            for sym in a.alphabet:
-                if sym not in alphabet:
-                    alphabet.append(sym)
-        if _joint_witness(verdict.approximations, alphabet) is not None:
+        # exact and independent of the engine's own product walk
+        approxs = verdict.approximations
+        if not is_empty(functools.reduce(intersect, approxs)):
             return "approximations claimed separating but still intersect"
-        for g, approx in zip(grammars, verdict.approximations):
-            for word in enumerate_words(g, _VALIDATE_WORD_LEN):
-                if not accepts(approx, word):
-                    return f"approximation lost the grammar word {' '.join(word)!r}"
+        alphabet = list(dict.fromkeys(sym for g in grammars for sym in g.terminals))
+        for i, (g, approx) in enumerate(zip(grammars, approxs)):
+            if intersects(g, complement(approx, alphabet)):
+                return f"approximation of grammar #{i + 1} misses a word of its language"
         return None
     return None
 

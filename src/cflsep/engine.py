@@ -10,13 +10,13 @@ configuration: witness choice and candidate orders are all fixed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .approximation import nederhof, sigma_star
 from .grammar import Cfg, GrammarError, in_language
-from .nfa import Nfa, difference, eliminate_epsilon, shortest_accepted, trim
+from .nfa import Nfa, difference
+from .nfa import shortest_common_word as _joint_witness  # the per-round witness search
 from .refinement import (
     BudgetExceededError,
     eps_generalize,
@@ -79,71 +79,6 @@ def classify_witness(w: Sequence[str], grammars: Sequence[Cfg]) -> list[bool]:
     """
     word = tuple(w)
     return [in_language(g, word) for g in grammars]
-
-
-def _joint_witness(approxs: Sequence[Nfa], alphabet: Sequence[str]) -> tuple[str, ...] | None:
-    """Shortest, lexicographically least word in the intersection of all
-    approximations; None if the joint product is empty.
-
-    The product is walked lazily over state tuples, so the full product
-    automaton is never materialized.
-    """
-    comps = [trim(eliminate_epsilon(a)) for a in approxs]
-    if any(not c.accepting for c in comps):
-        return None
-    steps: list[dict[tuple[int, str], frozenset[int]]] = []
-    for c in comps:
-        table: dict[tuple[int, str], set[int]] = {}
-        for q, x, r in c.transitions:
-            table.setdefault((q, x), set()).add(r)
-        steps.append({k: frozenset(v) for k, v in table.items()})
-
-    start = tuple(c.initial for c in comps)
-
-    def accepting_tuple(state: tuple[int, ...]) -> bool:
-        return all(q in c.accepting for q, c in zip(state, comps))
-
-    # emptiness first: plain reachability over state tuples
-    seen = {start}
-    frontier = deque(seen)
-    hit = accepting_tuple(start)
-    while frontier and not hit:
-        state = frontier.popleft()
-        for sym in alphabet:
-            targets = [steps[i].get((state[i], sym), None) for i in range(len(comps))]
-            if any(t is None for t in targets):
-                continue
-            for combo in _tuple_products(targets):
-                if combo not in seen:
-                    seen.add(combo)
-                    if accepting_tuple(combo):
-                        hit = True
-                    frontier.append(combo)
-    if not hit:
-        return None
-
-    def move(subset: frozenset, sym: str) -> frozenset:
-        out: set[tuple[int, ...]] = set()
-        for state in subset:
-            targets = [steps[i].get((state[i], sym), None) for i in range(len(comps))]
-            if any(t is None for t in targets):
-                continue
-            out.update(_tuple_products(targets))
-        return frozenset(out)
-
-    return shortest_accepted(
-        frozenset({start}),
-        move,
-        lambda subset: any(accepting_tuple(s) for s in subset),
-        tuple(alphabet),
-    )
-
-
-def _tuple_products(targets: list[frozenset[int]]) -> list[tuple[int, ...]]:
-    combos: list[tuple[int, ...]] = [()]
-    for t in targets:
-        combos = [c + (q,) for c in combos for q in t]
-    return combos
 
 
 def _generalize(g: Cfg, w: tuple[str, ...], cfg: Config) -> Nfa:

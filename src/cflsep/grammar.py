@@ -78,9 +78,6 @@ class Cfg:
                 if sym.name not in pool:
                     raise GrammarError(f"undeclared symbol {sym!r} in {prod!r}")
 
-    def productions_of(self, var: str) -> list[Production]:
-        return [p for p in self.productions if p.lhs == var]
-
 
 @dataclass(frozen=True)
 class SccPartition:
@@ -94,9 +91,6 @@ class SccPartition:
 
     blocks: tuple[tuple[str, ...], ...]
     index: dict[str, int]
-
-    def block_of(self, var: str) -> tuple[str, ...]:
-        return self.blocks[self.index[var]]
 
 
 def fresh_name(base: str, used: set[str]) -> str:
@@ -244,45 +238,6 @@ def block_is_recursive(g: Cfg, block: Sequence[str]) -> bool:
         ):
             return True
     return False
-
-
-def prune_useless(g: Cfg) -> Cfg:
-    """Optional pass: drop unproductive and unreachable nonterminals.
-
-    Never applied implicitly; approximation and pre* work on the grammar as
-    given.
-    """
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            if p.lhs not in productive and all(
-                s.terminal or s.name in productive for s in p.rhs
-            ):
-                productive.add(p.lhs)
-                changed = True
-
-    reachable = {g.start}
-    frontier = deque([g.start])
-    keep = lambda p: p.lhs in productive and all(
-        s.terminal or s.name in productive for s in p.rhs
-    )
-    while frontier:
-        v = frontier.popleft()
-        for p in g.productions:
-            if p.lhs == v and keep(p):
-                for s in p.rhs:
-                    if not s.terminal and s.name not in reachable:
-                        reachable.add(s.name)
-                        frontier.append(s.name)
-
-    live = (reachable & productive) | {g.start}
-    variables = tuple(v for v in g.variables if v in live)
-    productions = tuple(
-        p for p in g.productions if p.lhs in live and keep(p)
-    )
-    return Cfg(variables, g.terminals, productions, g.start)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -56,20 +56,13 @@ def _merge_alphabets(*alphabets: Sequence[str]) -> tuple[str, ...]:
     return tuple(merged)
 
 
-def epsilon_closure(a: Nfa, states: Iterable[int]) -> frozenset[int]:
-    closure = set(states)
-    frontier = deque(closure)
-    eps: dict[int, list[int]] = {}
+def _successors(a: Nfa) -> list[dict[str, set[int]]]:
+    """Successor index ``q -> sym -> targets`` over the non-epsilon edges."""
+    succ: list[dict[str, set[int]]] = [{} for _ in a.states]
     for q, x, r in a.transitions:
-        if x is None:
-            eps.setdefault(q, []).append(r)
-    while frontier:
-        q = frontier.popleft()
-        for r in eps.get(q, ()):
-            if r not in closure:
-                closure.add(r)
-                frontier.append(r)
-    return frozenset(closure)
+        if x is not None:
+            succ[q].setdefault(x, set()).add(r)
+    return succ
 
 
 def word_automaton(word: Sequence[str], alphabet: Sequence[str] | None = None) -> Nfa:
@@ -81,35 +74,41 @@ def word_automaton(word: Sequence[str], alphabet: Sequence[str] | None = None) -
 
 
 def accepts(a: Nfa, word: Sequence[str]) -> bool:
-    current = epsilon_closure(a, {a.initial})
-    step: dict[tuple[int, str], set[int]] = {}
-    for q, x, r in a.transitions:
-        if x is not None:
-            step.setdefault((q, x), set()).add(r)
+    a = eliminate_epsilon(a)
+    succ = _successors(a)
+    current = {a.initial}
     for sym in word:
-        moved: set[int] = set()
-        for q in current:
-            moved |= step.get((q, sym), set())
-        if not moved:
+        current = {r for q in current for r in succ[q].get(sym, ())}
+        if not current:
             return False
-        current = epsilon_closure(a, moved)
-    return bool(current & a.accepting)
+    return not current.isdisjoint(a.accepting)
 
 
 def eliminate_epsilon(a: Nfa) -> Nfa:
     """Equivalent automaton without epsilon transitions; states preserved."""
     if not a.has_epsilon():
         return a
-    closures = {q: epsilon_closure(a, {q}) for q in a.states}
-    plain = [(q, x, r) for q, x, r in a.transitions if x is not None]
+    eps: list[list[int]] = [[] for _ in a.states]
+    for q, x, r in a.transitions:
+        if x is None:
+            eps[q].append(r)
+    succ = _successors(a)
     transitions: set[tuple[int, str | None, int]] = set()
+    accepting: set[int] = set()
     for q in a.states:
-        for mid in closures[q]:
-            for src, x, dst in plain:
-                if src == mid:
-                    transitions.add((q, x, dst))
-    accepting = frozenset(q for q in a.states if closures[q] & a.accepting)
-    return Nfa(a.num_states, a.alphabet, frozenset(transitions), a.initial, accepting)
+        closure = {q}
+        stack = [q]
+        while stack:
+            for r in eps[stack.pop()]:
+                if r not in closure:
+                    closure.add(r)
+                    stack.append(r)
+        for mid in closure:
+            for x, targets in succ[mid].items():
+                transitions.update((q, x, r) for r in targets)
+        if not closure.isdisjoint(a.accepting):
+            accepting.add(q)
+    return Nfa(a.num_states, a.alphabet, frozenset(transitions), a.initial, frozenset(accepting))
 
 
 def trim(a: Nfa) -> Nfa:
@@ -151,9 +150,7 @@ def _determinize_complete(a: Nfa, alphabet: Sequence[str]) -> Nfa:
     """
     a = eliminate_epsilon(a)
     alphabet = tuple(alphabet)
-    step: dict[tuple[int, str], set[int]] = {}
-    for q, x, r in a.transitions:
-        step.setdefault((q, x), set()).add(r)
+    succ = _successors(a)
 
     start = frozenset({a.initial})
     numbering: dict[frozenset[int], int] = {start: 0}
@@ -163,10 +160,7 @@ def _determinize_complete(a: Nfa, alphabet: Sequence[str]) -> Nfa:
         subset = queue.popleft()
         src = numbering[subset]
         for sym in alphabet:
-            target: set[int] = set()
-            for q in subset:
-                target |= step.get((q, sym), set())
-            nxt = frozenset(target)
+            nxt = frozenset(r for q in subset for r in succ[q].get(sym, ()))
             if nxt not in numbering:
                 numbering[nxt] = len(numbering)
                 queue.append(nxt)
@@ -194,12 +188,7 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     a = eliminate_epsilon(a)
     b = eliminate_epsilon(b)
     alpha = _merge_alphabets(a.alphabet, b.alphabet)
-    step_a: dict[tuple[int, str], set[int]] = {}
-    step_b: dict[tuple[int, str], set[int]] = {}
-    for q, x, r in a.transitions:
-        step_a.setdefault((q, x), set()).add(r)
-    for q, x, r in b.transitions:
-        step_b.setdefault((q, x), set()).add(r)
+    succ_a, succ_b = _successors(a), _successors(b)
 
     start = (a.initial, b.initial)
     numbering: dict[tuple[int, int], int] = {start: 0}
@@ -209,8 +198,8 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
         qa, qb = queue.popleft()
         src = numbering[(qa, qb)]
         for sym in alpha:
-            for ra in step_a.get((qa, sym), ()):
-                for rb in step_b.get((qb, sym), ()):
+            for ra in succ_a[qa].get(sym, ()):
+                for rb in succ_b[qb].get(sym, ()):
                     pair = (ra, rb)
                     if pair not in numbering:
                         numbering[pair] = len(numbering)
@@ -225,20 +214,19 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     return trim(product)
 
 
-def union(a: Nfa, b: Nfa) -> Nfa:
-    """Recognizes ``L(a) ∪ L(b)`` (fresh initial state with epsilon fan-out)."""
-    alpha = _merge_alphabets(a.alphabet, b.alphabet)
-    off_a, off_b = 1, 1 + a.num_states
-    transitions: set[tuple[int, str | None, int]] = {
-        (0, None, off_a + a.initial),
-        (0, None, off_b + b.initial),
-    }
-    transitions |= {(q + off_a, x, r + off_a) for q, x, r in a.transitions}
-    transitions |= {(q + off_b, x, r + off_b) for q, x, r in b.transitions}
-    accepting = frozenset(q + off_a for q in a.accepting) | frozenset(
-        q + off_b for q in b.accepting
-    )
-    return Nfa(1 + a.num_states + b.num_states, alpha, frozenset(transitions), 0, accepting)
+def union(*parts: Nfa) -> Nfa:
+    """Recognizes the union of the parts' languages (fresh initial state with
+    epsilon fan-out)."""
+    transitions: set[tuple[int, str | None, int]] = set()
+    accepting: set[int] = set()
+    offset = 1
+    for p in parts:
+        transitions.add((0, None, offset + p.initial))
+        transitions |= {(q + offset, x, r + offset) for q, x, r in p.transitions}
+        accepting |= {q + offset for q in p.accepting}
+        offset += p.num_states
+    alpha = _merge_alphabets(*(p.alphabet for p in parts))
+    return Nfa(offset, alpha, frozenset(transitions), 0, frozenset(accepting))
 
 
 def difference(a: Nfa, b: Nfa) -> Nfa:
@@ -264,63 +252,63 @@ def is_empty(a: Nfa) -> bool:
     return not (reachable & a.accepting)
 
 
-def shortest_accepted(
-    initial: frozenset,
-    move: Callable[[frozenset, str], frozenset],
-    is_accepting: Callable[[frozenset], bool],
-    alphabet: Sequence[str],
+def shortest_common_word(
+    automata: Sequence[Nfa], alphabet: Sequence[str]
 ) -> tuple[str, ...] | None:
-    """Lexicographically least word of minimum length accepted by an
-    abstract nondeterministic machine, or ``None`` if the search exhausts.
+    """Shortest word accepted by every automaton, lexicographically least in
+    ``alphabet`` order; ``None`` iff the intersection is empty.
 
-    Works on the determinized view: nodes are sets of machine states, so a
-    breadth-first walk expanding symbols in alphabet order visits words in
-    (length, lex) order, and keeping only the first word per set is safe
-    because extensions of equal sets behave identically.
+    One breadth-first walk over state tuples of the trimmed, epsilon-free
+    automata, with a parent pointer per tuple. Tuples are visited once, in
+    groups: the group of word ``w`` holds the tuples whose (length,
+    lex)-least word is ``w``, and groups are expanded in that word order,
+    symbols in alphabet order. So the first accepting tuple discovered ends
+    the least common word. Grouping matters: a word reaches several tuples
+    at once, and expanding them one by one would put ``w b`` ahead of
+    ``w a``. The product is never materialized.
     """
-    if is_accepting(initial):
+    comps = [trim(eliminate_epsilon(a)) for a in automata]
+    succs = [_successors(c) for c in comps]
+
+    def accepting(state: tuple[int, ...]) -> bool:
+        return all(q in c.accepting for q, c in zip(state, comps))
+
+    start = tuple(c.initial for c in comps)
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {start: None}
+
+    def word_to(state: tuple[int, ...]) -> tuple[str, ...]:
+        word: list[str] = []
+        while (link := parent[state]) is not None:
+            state, sym = link
+            word.append(sym)
+        return tuple(reversed(word))
+
+    if accepting(start):
         return ()
-    seen = {initial}
-    queue: deque[tuple[frozenset, tuple[str, ...]]] = deque([(initial, ())])
+    queue = deque([[start]])
     while queue:
-        subset, word = queue.popleft()
+        group = queue.popleft()
         for sym in alphabet:
-            target = move(subset, sym)
-            if not target or target in seen:
-                continue
-            extended = word + (sym,)
-            if is_accepting(target):
-                return extended
-            seen.add(target)
-            queue.append((target, extended))
+            reached: list[tuple[int, ...]] = []
+            for state in group:
+                combos: list[tuple[int, ...]] = [()]
+                for q, succ in zip(state, succs):
+                    combos = [c + (r,) for c in combos for r in succ[q].get(sym, ())]
+                for combo in combos:
+                    if combo not in parent:
+                        parent[combo] = (state, sym)
+                        if accepting(combo):
+                            return word_to(combo)
+                        reached.append(combo)
+            if reached:
+                queue.append(reached)
     return None
 
 
 def shortest_witness(a: Nfa) -> tuple[str, ...] | None:
     """Minimum-length accepted word, lexicographically least per the
     declared alphabet order; ``None`` iff the language is empty."""
-    if is_empty(a):
-        return None
-    a = eliminate_epsilon(a)
-    step: dict[tuple[int, str], frozenset[int]] = {}
-    collect: dict[tuple[int, str], set[int]] = {}
-    for q, x, r in a.transitions:
-        collect.setdefault((q, x), set()).add(r)
-    step = {key: frozenset(val) for key, val in collect.items()}
-
-    def move(subset: frozenset, sym: str) -> frozenset:
-        out: set[int] = set()
-        for q in subset:
-            out |= step.get((q, sym), frozenset())
-        return frozenset(out)
-
-    accepting = a.accepting
-    return shortest_accepted(
-        frozenset({a.initial}),
-        move,
-        lambda subset: bool(subset & accepting),
-        a.alphabet,
-    )
+    return shortest_common_word([a], a.alphabet)
 
 
 def equivalent(a: Nfa, b: Nfa) -> bool:
@@ -331,9 +319,7 @@ def equivalent(a: Nfa, b: Nfa) -> bool:
 def enumerate_accepted(a: Nfa, max_len: int) -> frozenset[tuple[str, ...]]:
     """All accepted words of length at most ``max_len`` (test oracle helper)."""
     a = eliminate_epsilon(a)
-    step: dict[tuple[int, str], set[int]] = {}
-    for q, x, r in a.transitions:
-        step.setdefault((q, x), set()).add(r)
+    succ = _successors(a)
     found: set[tuple[str, ...]] = set()
 
     def walk(subset: frozenset[int], word: tuple[str, ...]) -> None:
@@ -342,11 +328,9 @@ def enumerate_accepted(a: Nfa, max_len: int) -> frozenset[tuple[str, ...]]:
         if len(word) == max_len:
             return
         for sym in a.alphabet:
-            target: set[int] = set()
-            for q in subset:
-                target |= step.get((q, sym), set())
+            target = frozenset(r for q in subset for r in succ[q].get(sym, ()))
             if target:
-                walk(frozenset(target), word + (sym,))
+                walk(target, word + (sym,))
 
     walk(frozenset({a.initial}), ())
     return frozenset(found)

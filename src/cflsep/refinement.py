@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .grammar import Cfg, GrammarError, in_language, normalize
-from .nfa import Nfa, difference, word_automaton
+from .nfa import Nfa, union, word_automaton
 from .prestar import PrestarSession, intersects
 
 DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceededError(RuntimeError):
-    """The exhaustive generalization exceeded its recursion budget."""
+    """The exhaustive generalization exceeded its budget of visited nodes."""
 
 
 def _crosses(r1: tuple[int, int], r2: tuple[int, int]) -> bool:
@@ -179,11 +179,6 @@ def eps_generalize(
     return session.automaton()
 
 
-def refine_approx(a: Nfa, gen: Nfa) -> Nfa:
-    """Subtract a generalization from an approximation."""
-    return difference(a, gen)
-
-
 def _maximal_sets(leaves: Iterable[frozenset]) -> list[frozenset]:
     # the union of all valid generalizations equals the union over the
     # subset-maximal ones (adding a range or edge only grows the language)
@@ -193,21 +188,6 @@ def _maximal_sets(leaves: Iterable[frozenset]) -> list[frozenset]:
         if not any(leaf <= other for other in kept):
             kept.append(leaf)
     return kept
-
-
-def _flat_union(parts: Sequence[Nfa]) -> Nfa:
-    alpha: tuple[str, ...] = ()
-    for p in parts:
-        alpha = tuple(dict.fromkeys(alpha + p.alphabet))
-    transitions: set[tuple[int, str | None, int]] = set()
-    accepting: set[int] = set()
-    offset = 1
-    for p in parts:
-        transitions.add((0, None, offset + p.initial))
-        transitions |= {(q + offset, x, r + offset) for q, x, r in p.transitions}
-        accepting |= {q + offset for q in p.accepting}
-        offset += p.num_states
-    return Nfa(offset, alpha, frozenset(transitions), 0, frozenset(accepting))
 
 
 def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
@@ -227,8 +207,10 @@ def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) 
     leaves: set[frozenset] = set()
     calls = 0
 
-    def go(accepted: frozenset, idx: int) -> None:
-        nonlocal calls
+    # depth-first over the include/exclude tree, include branch first
+    stack: list[tuple[frozenset, int]] = [(frozenset(), 0)]
+    while stack:
+        accepted, idx = stack.pop()
         calls += 1
         if calls > budget:
             raise BudgetExceededError(f"budget of {budget} calls exhausted")
@@ -238,21 +220,20 @@ def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) 
             idx += 1
         if idx == len(candidates):
             leaves.add(accepted)
-            return
+            continue
         if (accepted, idx) in visited:
-            return
+            continue
         visited.add((accepted, idx))
+        stack.append((accepted, idx + 1))
         extended = accepted | {candidates[idx]}
         if _disjoint(gn, gen_language(StarGeneralization(w, extended))):
-            go(extended, idx + 1)
-        go(accepted, idx + 1)
+            stack.append((extended, idx + 1))
 
-    go(frozenset(), 0)
     parts = [
         gen_language(StarGeneralization(w, ranges))
         for ranges in _maximal_sets(leaves)
     ]
-    return _flat_union(parts)
+    return union(*parts)
 
 
 def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
@@ -267,25 +248,30 @@ def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -
     leaves: set[frozenset] = set()
     calls = 0
 
-    def go(idx: int) -> None:
-        nonlocal calls
+    # depth-first over the include/exclude tree, include branch first; a
+    # (None, token) entry rolls the session back once the include subtree ends
+    stack: list[tuple[int | None, tuple[int, int] | None]] = [(0, None)]
+    while stack:
+        idx, token = stack.pop()
+        if idx is None:
+            session.rollback(token)
+            continue
         calls += 1
         if calls > budget:
             raise BudgetExceededError(f"budget of {budget} calls exhausted")
         if idx == len(candidates):
             leaves.add(frozenset(session.edges))
-            return
+            continue
         key = (frozenset(session.edges), idx)
         if key in visited:
-            return
+            continue
         visited.add(key)
+        stack.append((idx + 1, None))
         token = session.snapshot()
         if session.try_add(candidates[idx]):
-            go(idx + 1)
-            session.rollback(token)
-        go(idx + 1)
+            stack.append((None, token))
+            stack.append((idx + 1, None))
 
-    go(0)
     parts = [
         Nfa(
             base.num_states,
@@ -296,4 +282,4 @@ def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -
         )
         for edges in _maximal_sets(leaves)
     ]
-    return _flat_union(parts)
+    return union(*parts)

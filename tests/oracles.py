@@ -15,8 +15,8 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable
 
-from .grammar import GrammarError
-from .nfa import Nfa, enumerate_accepted
+from cflsep.grammar import GrammarError
+from cflsep.nfa import Nfa, enumerate_accepted
 
 
 @dataclass(frozen=True)

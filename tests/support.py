@@ -64,10 +64,11 @@ def random_nfa(
     alphabet: tuple[str, ...] = ("a", "b"),
     max_states: int = 4,
     allow_eps: bool = True,
+    edges_per_state: int = 2,
 ) -> Nfa:
     n = rng.randint(1, max_states)
     transitions = set()
-    for _ in range(rng.randint(0, 2 * n + 2)):
+    for _ in range(rng.randint(0, edges_per_state * n + 2)):
         sym = None if allow_eps and rng.random() < 0.15 else rng.choice(alphabet)
         transitions.add((rng.randrange(n), sym, rng.randrange(n)))
     accepting = frozenset(q for q in range(n) if rng.random() < 0.4)

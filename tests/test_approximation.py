@@ -12,8 +12,8 @@ from cflsep.approximation import (
 import cflsep.grammar as grammar_mod
 from cflsep.grammar import enumerate_words, sccs
 from cflsep.nfa import accepts, enumerate_accepted, equivalent
-from cflsep.oracles import bounded_language, cat, lit, regex_to_nfa, star
 
+from oracles import bounded_language, cat, lit, regex_to_nfa, star
 from support import grammar, random_cfg, words_upto
 
 ANCBN = grammar('grammar G { start A; A -> "a" B "b" | "c"; B -> A; }')

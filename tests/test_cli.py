@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import cflsep.cli as cli
 from cflsep.cli import (
+    EXIT_INTERNAL,
     EXIT_OVERLAP,
     EXIT_SEPARABLE,
     EXIT_UNKNOWN,
@@ -13,7 +15,7 @@ from cflsep.cli import (
 from cflsep.engine import Overlap, Separable
 from cflsep.grammar import enumerate_words
 from cflsep.grammar_io import ParseError, parse_file, parse_named, render
-from cflsep.nfa import Nfa
+from cflsep.nfa import Nfa, difference, word_automaton
 
 from support import FIXTURES, grammar, random_cfg
 
@@ -155,6 +157,22 @@ def test_main_dump_approx(tmp_path, capsys):
 def test_main_validate_passes_on_separable(capsys):
     code = main([fixture("c3c4.cfg"), "--validate"])
     assert code == EXIT_SEPARABLE
+
+
+def test_main_validate_catches_approximation_missing_a_long_word(tmp_path, monkeypatch, capsys):
+    # a^n b^n's approximation misses only aaabbb, a word of length 6
+    path = tmp_path / "pair.cfg"
+    path.write_text(
+        'grammar AnBn { start S; S -> "a" S "b" | ; }\n'
+        'grammar Six { start S; S -> "a" "a" "a" "b" "b" "b"; }\n'
+    )
+    six = word_automaton(("a", "a", "a", "b", "b", "b"))
+    sigma = Nfa(1, ("a", "b"), frozenset({(0, "a", 0), (0, "b", 0)}), 0, frozenset({0}))
+    bogus = Separable(approximations=(difference(sigma, six), six), iterations=0)
+    monkeypatch.setattr(cli, "check_disjoint", lambda *args, **kwargs: bogus)
+    code = main([str(path), "--validate"])
+    assert code == EXIT_INTERNAL
+    assert "grammar #1" in capsys.readouterr().err
 
 
 def test_validate_catches_bad_witness():

@@ -14,7 +14,6 @@ from cflsep.grammar import (
     normalize,
     nt,
     nullable_set,
-    prune_useless,
     sccs,
 )
 
@@ -157,15 +156,6 @@ def test_enumerate_negative_length():
 def test_nullable_set():
     g = grammar('grammar G { start S; S -> A B; A -> ; B -> "b" | ; }')
     assert nullable_set(g) == frozenset({"S", "A", "B"})
-
-
-def test_prune_useless_keeps_language():
-    g = grammar(
-        'grammar G { start S; S -> "a" | Dead; Dead -> "b" Dead; Unreach -> "a"; }'
-    )
-    pruned = prune_useless(g)
-    assert "Unreach" not in pruned.variables
-    assert enumerate_words(pruned, 4) == enumerate_words(g, 4)
 
 
 # --- randomized properties --------------------------------------------------

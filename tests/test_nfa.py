@@ -14,14 +14,15 @@ from cflsep.nfa import (
     equivalent,
     intersect,
     is_empty,
+    shortest_common_word,
     shortest_witness,
     to_dot,
     trim,
     union,
     word_automaton,
 )
-from cflsep.oracles import cat, lit, regex_to_nfa, star
 
+from oracles import cat, lit, regex_to_nfa, star
 from support import hand_nfa, random_nfa, words_upto
 
 SIGMA_STAR = hand_nfa(1, ("a", "b"), {(0, "a", 0), (0, "b", 0)}, 0, {0})
@@ -159,6 +160,29 @@ def test_shortest_witness_minimality():
             assert all(len(v) >= len(w) for v in accepted)
             same_length = sorted(v for v in accepted if len(v) == len(w))
             assert w == same_length[0]  # ("a","b") order is lexicographic
+    # "a" reaches states 1 and 2: "ab" is found through 1 before "aa" through 2
+    # unless the walk expands both together
+    fork = hand_nfa(
+        4, ("a", "b"), {(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "a", 3)}, 0, {3}
+    )
+    assert shortest_witness(fork) == ("a", "a")
+    assert shortest_common_word([fork, fork], ("b", "a")) == ("a", "b")
+    # the k-ary walk on denser automata, symbols ranked in reverse declaration order
+    order = ("b", "a")
+    nontrivial = 0
+    for _ in range(300):
+        automata = [
+            random_nfa(rng, max_states=8, edges_per_state=3) for _ in range(rng.randint(1, 3))
+        ]
+        common = frozenset.intersection(*(enumerate_accepted(a, 6) for a in automata))
+        w = shortest_common_word(automata, order)
+        least = min(common, key=lambda v: (len(v), [order.index(x) for x in v]), default=None)
+        if least is not None:
+            assert w == least
+            nontrivial += len(automata) > 1 and len(least) > 0
+        elif w is not None:
+            assert len(w) > 6 and all(accepts(a, w) for a in automata)
+    assert nontrivial >= 10
 
 
 def test_is_empty():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cflsep.grammar import GrammarError
-from cflsep.oracles import (
+from oracles import (
     EPS,
     alt,
     bounded_language,

@@ -14,7 +14,6 @@ from cflsep.nfa import (
     is_empty,
     word_automaton,
 )
-from cflsep.oracles import cat, lit, regex_to_nfa, star
 from cflsep.prestar import PrestarSession, intersects
 from cflsep.refinement import (
     BudgetExceededError,
@@ -23,10 +22,10 @@ from cflsep.refinement import (
     gen_language,
     max_eps_generalize,
     max_star_generalize,
-    refine_approx,
     star_generalize,
 )
 
+from oracles import cat, lit, regex_to_nfa, star
 from support import (
     AIBI1,
     dfa_grammar,
@@ -198,12 +197,12 @@ def test_eps_generalize_edge_budget(monkeypatch):
     assert session_calls["n"] <= n * (n + 1)
 
 
-# --- refine_approx ------------------------------------------------------------
+# --- refining an approximation (difference) ---------------------------------
 
 
 def test_refine_approx_running_example():
     gen = gen_language(star_generalize(AAB, AIBI1))
-    refined = refine_approx(A_STAR_B_STAR, gen)
+    refined = difference(A_STAR_B_STAR, gen)
     expected = hand_nfa(
         5,
         ("a", "b"),
@@ -224,7 +223,7 @@ def test_refine_approx_running_example():
 
 def test_refine_approx_empty_generalization():
     nothing = hand_nfa(1, ("a", "b"), set(), 0, set())
-    refined = refine_approx(A_STAR_B_STAR, nothing)
+    refined = difference(A_STAR_B_STAR, nothing)
     assert equivalent(refined, A_STAR_B_STAR)
 
 
@@ -236,7 +235,7 @@ def test_refine_approx_drops_witness():
         if member(g, w):
             continue
         gen = gen_language(star_generalize(w, g))
-        refined = refine_approx(A_STAR_B_STAR, gen)
+        refined = difference(A_STAR_B_STAR, gen)
         assert not accepts(refined, w)
 
 
@@ -312,6 +311,14 @@ def test_max_eps_contains_greedy():
 def test_max_eps_generalize_budget():
     with pytest.raises(BudgetExceededError):
         max_eps_generalize(AIBI1, AAB, budget=2)
+
+
+def test_max_eps_generalize_deep_tree_hits_budget_not_recursion_limit():
+    # 32 letters give 1,056 candidates: the include/exclude tree is deeper
+    # than Python's default recursion limit before the budget runs out
+    anbn = grammar('grammar A { start S; S -> "a" S "b" | ; }')
+    with pytest.raises(BudgetExceededError):
+        max_eps_generalize(anbn, ("b",) * 32, budget=5000)
 
 
 def test_max_generalizations_random():
