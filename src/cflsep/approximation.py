@@ -154,56 +154,68 @@ class _Builder:
         return "cyclic"
 
     def emit(self, q0: int, seq: tuple[Symbol, ...], q1: int) -> None:
-        if len(seq) == 0:
-            self.transitions.add((q0, None, q1))
-            return
-        if len(seq) == 1 and seq[0].terminal:
-            self.transitions.add((q0, seq[0].name, q1))
-            return
-        if len(seq) >= 2:
-            mid = self.fresh_state()
-            self.emit(q0, seq[:1], mid)
-            self.emit(mid, seq[1:], q1)
-            return
-        self.expand_nonterminal(q0, seq[0].name, q1)
+        """Add a path from q0 to q1 reading ``seq``.
 
-    def expand_nonterminal(self, q0: int, var: str, q1: int) -> None:
+        Works off an explicit stack of (from, symbols, to) tasks, first task
+        on top, so deep or long rules cannot exhaust the recursion limit and
+        fresh states are numbered as a left-to-right expansion meets them.
+        """
+        stack = [(q0, seq, q1)]
+        while stack:
+            q0, seq, q1 = stack.pop()
+            if not seq:
+                self.transitions.add((q0, None, q1))
+                continue
+            if len(seq) >= 2:
+                # the first symbol runs to a fresh state; the rest waits
+                mid = self.fresh_state()
+                stack.append((mid, seq[1:], q1))
+                q1 = mid
+            if seq[0].terminal:
+                self.transitions.add((q0, seq[0].name, q1))
+            else:
+                stack.extend(reversed(self.expand_nonterminal(q0, seq[0].name, q1)))
+
+    def expand_nonterminal(
+        self, q0: int, var: str, q1: int
+    ) -> list[tuple[int, tuple[Symbol, ...], int]]:
+        """The emit tasks, in order, of a path from q0 to q1 derived from ``var``."""
         block_id = self.partition.index[var]
         block = self.partition.blocks[block_id]
         if not self._recursive[block_id]:
-            for p in self._by_lhs[var]:
-                self.emit(q0, p.rhs, q1)
-            return
+            return [(q0, p.rhs, q1) for p in self._by_lhs[var]]
 
         members = set(block)
         state_of = {member: self.fresh_state() for member in block}
         kind = self.classify(block)
+        tasks = []
         if kind == "left":
             for c in block:
                 for p in self._by_lhs[c]:
                     if all(s.terminal or s.name not in members for s in p.rhs):
-                        self.emit(q0, p.rhs, state_of[c])
+                        tasks.append((q0, p.rhs, state_of[c]))
                     else:
                         head = p.rhs[0]
                         if head.terminal or head.name not in members:
                             raise ApproximationError(
                                 f"production {p!r} breaks left-linearity of {block}"
                             )
-                        self.emit(state_of[head.name], p.rhs[1:], state_of[c])
+                        tasks.append((state_of[head.name], p.rhs[1:], state_of[c]))
             self.transitions.add((state_of[var], None, q1))
         else:  # right or cyclic
             for c in block:
                 for p in self._by_lhs[c]:
                     if all(s.terminal or s.name not in members for s in p.rhs):
-                        self.emit(state_of[c], p.rhs, q1)
+                        tasks.append((state_of[c], p.rhs, q1))
                     else:
                         tail = p.rhs[-1]
                         if tail.terminal or tail.name not in members:
                             raise ApproximationError(
                                 f"production {p!r} breaks right-linearity of {block}"
                             )
-                        self.emit(state_of[c], p.rhs[:-1], state_of[tail.name])
+                        tasks.append((state_of[c], p.rhs[:-1], state_of[tail.name]))
             self.transitions.add((q0, None, state_of[var]))
+        return tasks
 
 
 def make_fa(g: Cfg, part: SccPartition) -> Nfa:
@@ -219,7 +231,7 @@ def make_fa(g: Cfg, part: SccPartition) -> Nfa:
     builder = _Builder(g, part)
     q0 = builder.fresh_state()
     qf = builder.fresh_state()
-    builder.expand_nonterminal(q0, g.start, qf)
+    builder.emit(q0, (nt(g.start),), qf)
     auto = Nfa(
         builder.num_states,
         g.terminals,

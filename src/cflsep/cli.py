@@ -116,7 +116,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ParseError, GrammarError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

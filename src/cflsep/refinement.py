@@ -4,15 +4,17 @@ Given a witness word outside a grammar's language, grow it into a regular
 language that still avoids the grammar: either by starring well-nested index
 ranges of the word (star generalization) or by adding forward-epsilon and
 label-replaying backward edges to the word's chain automaton (epsilon
-generalization). The greedy variants test each candidate once; the maximum
-variants union every reachable valid generalization, at exponential cost
-bounded by an explicit call budget.
+generalization). Both run one depth-first include/exclude walk over a fixed
+candidate order, include branch first, whose leaves are the valid
+generalizations. The greedy variants take its first leaf; the maximum
+variants union its subset-maximal leaves, within a node budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import math
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 from .grammar import Cfg, GrammarError, in_language, normalize
 from .nfa import Nfa, union, word_automaton
@@ -112,174 +114,129 @@ def _disjoint(gn: Cfg, auto: Nfa) -> bool:
     return not intersects(gn, auto)
 
 
+def _outside(g: Cfg, w: Sequence[str]) -> tuple[str, ...]:
+    w = tuple(w)
+    if in_language(g, w):
+        raise GrammarError("witness is in the language; it cannot be generalized")
+    return w
+
+
 def _star_candidates(n: int) -> list[tuple[int, int]]:
     # increasing span, then increasing start position
     return [(i, i + span) for span in range(1, n + 1) for i in range(n - span + 1)]
 
 
-def star_generalize(
-    w: Sequence[str], g: Cfg, max_candidates: int | None = None
-) -> StarGeneralization:
-    """Greedy maximal star generalization of ``w`` against ``L(g)``.
-
-    Candidates are tried once each; a range is kept when the generalized
-    language still avoids L(g), and candidates crossing an accepted range
-    are dropped. ``max_candidates`` truncates the candidate stream, which
-    stays sound (anytime behavior).
-    """
-    w = tuple(w)
-    if in_language(g, w):
-        raise GrammarError("witness is in the language; it cannot be generalized")
-    gn = normalize(g)
-    accepted: list[tuple[int, int]] = []
-    pending = _star_candidates(len(w))
-    tested = 0
-    while pending:
-        if max_candidates is not None and tested >= max_candidates:
-            break
-        candidate = pending.pop(0)
-        tested += 1
-        trial = StarGeneralization(w, frozenset(accepted) | {candidate})
-        if _disjoint(gn, gen_language(trial)):
-            accepted.append(candidate)
-            pending = [p for p in pending if not _crosses(p, candidate)]
-    return StarGeneralization(w, frozenset(accepted))
-
-
 def _eps_candidates(word: tuple[str, ...]) -> list[tuple[int, str | None, int]]:
-    n = len(word)
-    forward = [
-        (i, None, i + span) for span in range(1, n + 1) for i in range(n - span + 1)
-    ]
-    backward = [
-        (j - 1, word[j - 1], j - span)
-        for span in range(1, n + 1)
-        for j in range(span, n + 1)
-    ]
-    return forward + backward
+    # forward epsilon edges, then label-replaying backward edges, each in
+    # the star ranges' order
+    spans = _star_candidates(len(word))
+    return [(i, None, j) for i, j in spans] + [(j - 1, word[j - 1], i) for i, j in spans]
 
 
-def eps_generalize(
-    w: Sequence[str], g: Cfg, max_candidates: int | None = None
-) -> Nfa:
-    """Greedy maximal epsilon generalization of ``w`` against ``L(g)``.
+class _StarSession:
+    """Accepted star ranges of one word, in PrestarSession's protocol."""
 
-    Forward epsilon edges are tried first (shortest span first), then
-    backward edges; each tentative edge is validated incrementally on a
-    saturation session and reverted when it would let L(g) in.
-    """
-    w = tuple(w)
-    if in_language(g, w):
-        raise GrammarError("witness is in the language; it cannot be generalized")
-    session = PrestarSession(g, word_automaton(w))
-    for tested, edge in enumerate(_eps_candidates(w)):
-        if max_candidates is not None and tested >= max_candidates:
-            break
-        session.try_add(edge)
-    return session.automaton()
+    def __init__(self, g: Cfg, w: tuple[str, ...]) -> None:
+        self.word, self.grammar = w, normalize(g)
+        self.edges: list[tuple[int, int]] = []
 
+    def try_add(self, r: tuple[int, int]) -> bool:
+        trial = StarGeneralization(self.word, frozenset(self.edges) | {r})
+        ok = _disjoint(self.grammar, gen_language(trial))
+        if ok:
+            self.edges.append(r)
+        return ok
 
-def _maximal_sets(leaves: Iterable[frozenset]) -> list[frozenset]:
-    # the union of all valid generalizations equals the union over the
-    # subset-maximal ones (adding a range or edge only grows the language)
-    ordered = sorted(set(leaves), key=len, reverse=True)
-    kept: list[frozenset] = []
-    for leaf in ordered:
-        if not any(leaf <= other for other in kept):
-            kept.append(leaf)
-    return kept
+    def snapshot(self) -> int:
+        return len(self.edges)
+
+    def rollback(self, token: int) -> None:
+        del self.edges[token:]
 
 
-def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
-    """Union of every valid star generalization of ``w`` against ``L(g)``.
-
-    Explores the include/exclude tree over the candidate ranges (states
-    deduplicated on accepted-set plus position), collects the reachable
-    complete generalizations, and unions the subset-maximal ones. Raises
-    BudgetExceededError when the number of visited nodes passes ``budget``.
-    """
-    w = tuple(w)
-    if in_language(g, w):
-        raise GrammarError("witness is in the language; it cannot be generalized")
-    gn = normalize(g)
-    candidates = _star_candidates(len(w))
-    visited: set[tuple[frozenset, int]] = set()
-    leaves: set[frozenset] = set()
-    calls = 0
-
-    # depth-first over the include/exclude tree, include branch first
-    stack: list[tuple[frozenset, int]] = [(frozenset(), 0)]
-    while stack:
-        accepted, idx = stack.pop()
-        calls += 1
-        if calls > budget:
-            raise BudgetExceededError(f"budget of {budget} calls exhausted")
-        while idx < len(candidates) and any(
-            _crosses(candidates[idx], r) for r in accepted
-        ):
-            idx += 1
-        if idx == len(candidates):
-            leaves.add(accepted)
-            continue
-        if (accepted, idx) in visited:
-            continue
-        visited.add((accepted, idx))
-        stack.append((accepted, idx + 1))
-        extended = accepted | {candidates[idx]}
-        if _disjoint(gn, gen_language(StarGeneralization(w, extended))):
-            stack.append((extended, idx + 1))
-
-    parts = [
-        gen_language(StarGeneralization(w, ranges))
-        for ranges in _maximal_sets(leaves)
-    ]
-    return union(*parts)
+def _crosses_any(accepted: Sequence[tuple[int, int]], r: tuple[int, int]) -> bool:
+    return any(_crosses(r, a) for a in accepted)
 
 
-def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
-    """Union of every valid epsilon generalization of ``w`` against ``L(g)``."""
-    w = tuple(w)
-    if in_language(g, w):
-        raise GrammarError("witness is in the language; it cannot be generalized")
-    base = word_automaton(w)
-    session = PrestarSession(g, base)
-    candidates = _eps_candidates(w)
-    visited: set[tuple[frozenset, int]] = set()
-    leaves: set[frozenset] = set()
-    calls = 0
-
-    # depth-first over the include/exclude tree, include branch first; a
-    # (None, token) entry rolls the session back once the include subtree ends
-    stack: list[tuple[int | None, tuple[int, int] | None]] = [(0, None)]
+def _walk(
+    session, candidates: Sequence, budget: float = math.inf, skip=None
+) -> Iterator[frozenset]:
+    """Depth-first include/exclude walk over ``candidates``, include first,
+    yielding ``frozenset(session.edges)`` at each leaf: the first leaf is the
+    greedy choice. Nodes are counted against ``budget``; a candidate with
+    ``skip(edges, c)`` gets no node. Candidates are distinct and edges only
+    grow below an include, so no two nodes share edges and position."""
+    nodes = 0
+    stack: list[tuple[int | None, object]] = [(0, None)]  # (None, token): roll back
     while stack:
         idx, token = stack.pop()
         if idx is None:
             session.rollback(token)
             continue
-        calls += 1
-        if calls > budget:
+        nodes += 1
+        if nodes > budget:
             raise BudgetExceededError(f"budget of {budget} calls exhausted")
+        while skip and idx < len(candidates) and skip(session.edges, candidates[idx]):
+            idx += 1
         if idx == len(candidates):
-            leaves.add(frozenset(session.edges))
+            yield frozenset(session.edges)
             continue
-        key = (frozenset(session.edges), idx)
-        if key in visited:
-            continue
-        visited.add(key)
         stack.append((idx + 1, None))
         token = session.snapshot()
         if session.try_add(candidates[idx]):
-            stack.append((None, token))
-            stack.append((idx + 1, None))
+            stack += [(None, token), (idx + 1, None)]
 
-    parts = [
-        Nfa(
-            base.num_states,
-            base.alphabet,
-            base.transitions | edges,
-            base.initial,
-            base.accepting,
-        )
-        for edges in _maximal_sets(leaves)
-    ]
-    return union(*parts)
+
+def _union_of_maxima(
+    leaves: Iterator[frozenset], candidates: Sequence, build: Callable[[frozenset], Nfa]
+) -> Nfa:
+    # the union of all valid generalizations equals the union over the
+    # subset-maximal ones (adding a range or edge only grows the language);
+    # equal sizes go in candidate order, so the union never depends on hashing
+    index = {c: i for i, c in enumerate(candidates)}
+    kept: list[frozenset] = []
+    for leaf in sorted(leaves, key=lambda s: (-len(s), sorted(map(index.get, s)))):
+        if not any(leaf <= other for other in kept):
+            kept.append(leaf)
+    return union(*map(build, kept))
+
+
+def star_generalize(w: Sequence[str], g: Cfg) -> StarGeneralization:
+    """Greedy maximal star generalization of ``w`` against ``L(g)``: each
+    range is tried once, shortest span first, and kept when the language
+    still avoids L(g); ranges crossing a kept one are not tried."""
+    w = _outside(g, w)
+    leaf = next(_walk(_StarSession(g, w), _star_candidates(len(w)), skip=_crosses_any))
+    return StarGeneralization(w, leaf)
+
+
+def eps_generalize(w: Sequence[str], g: Cfg) -> Nfa:
+    """Greedy maximal epsilon generalization of ``w`` against ``L(g)``: forward
+    epsilon edges (shortest span first), then backward edges, each kept when
+    the saturation session shows L(g) still excluded."""
+    w = _outside(g, w)
+    session = PrestarSession(g, word_automaton(w))
+    next(_walk(session, _eps_candidates(w)))  # the session now holds the first leaf
+    return session.automaton()
+
+
+def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
+    """Union of every valid star generalization of ``w`` against ``L(g)``;
+    raises BudgetExceededError once the walk visits more than ``budget`` nodes."""
+    w = _outside(g, w)
+    candidates = _star_candidates(len(w))
+    leaves = _walk(_StarSession(g, w), candidates, budget, _crosses_any)
+    return _union_of_maxima(
+        leaves, candidates, lambda ranges: gen_language(StarGeneralization(w, ranges))
+    )
+
+
+def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
+    """Union of every valid epsilon generalization of ``w`` against ``L(g)``."""
+    w = _outside(g, w)
+    base = word_automaton(w)
+    candidates = _eps_candidates(w)
+    leaves = _walk(PrestarSession(g, base), candidates, budget)
+    return _union_of_maxima(
+        leaves, candidates, lambda e: replace(base, transitions=base.transitions | e)
+    )

@@ -127,8 +127,16 @@ def regex_to_nfa(e: Regex) -> Nfa:
     return Nfa(counter[0], tuple(symbols), frozenset(transitions), start, frozenset({end}))
 
 
+_LANGUAGES: dict[frozenset, frozenset] = {}
+
+
+@lru_cache(maxsize=None)
 def bounded_language(e: Regex, max_len: int) -> frozenset[tuple[str, ...]]:
-    return enumerate_accepted(regex_to_nfa(e), max_len)
+    # memoized, since the oracle properties ask for the same expression's
+    # words many times; equal languages share one frozenset, because tens of
+    # thousands of expressions have only a few thousand languages
+    lang = enumerate_accepted(regex_to_nfa(e), max_len)
+    return _LANGUAGES.setdefault(lang, lang)
 
 
 def _dedup_structural(items: Iterable[Regex]) -> list[Regex]:

@@ -34,6 +34,16 @@ PALINDROME = grammar(
 )
 
 
+# deeper than Python's default recursion limit: one rule of 1200 symbols
+# (the word a^1200), and 1200 nonterminals each nesting the next (a^1200 b)
+LONG_RULE = 'grammar Long { start S; S -> ' + ' '.join(['"a"'] * 1200) + '; }'
+DEEP_CHAIN = (
+    "grammar Deep { start N0; "
+    + " ".join(f'N{i} -> "a" N{i + 1};' for i in range(1200))
+    + ' N1200 -> "b"; }'
+)
+
+
 def words_upto(alphabet: tuple[str, ...], max_len: int):
     for n in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=n)

@@ -14,7 +14,7 @@ from cflsep.grammar import enumerate_words, sccs
 from cflsep.nfa import accepts, enumerate_accepted, equivalent
 
 from oracles import bounded_language, cat, lit, regex_to_nfa, star
-from support import grammar, random_cfg, words_upto
+from support import DEEP_CHAIN, LONG_RULE, grammar, random_cfg, words_upto
 
 ANCBN = grammar('grammar G { start A; A -> "a" B "b" | "c"; B -> A; }')
 A_STAR_C_B_STAR = regex_to_nfa(cat(star(lit("a")), lit("c"), star(lit("b"))))
@@ -142,3 +142,14 @@ def test_nederhof_sound_on_random_grammars():
         for w in enumerate_words(g, 7):
             assert accepts(approx, w)
             assert accepts(full, w)
+
+
+@pytest.mark.parametrize(
+    "text, word",
+    [(LONG_RULE, ("a",) * 1200), (DEEP_CHAIN, ("a",) * 1200 + ("b",))],
+    ids=["long-rule", "deep-chain"],
+)
+def test_nederhof_long_and_deep_rules_do_not_recurse(text, word):
+    a = nederhof(grammar(text))
+    assert accepts(a, word)
+    assert not accepts(a, word[1:])

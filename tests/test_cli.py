@@ -1,6 +1,12 @@
+import contextlib
+import io
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cflsep.cli as cli
 from cflsep.cli import (
@@ -17,7 +23,7 @@ from cflsep.grammar import enumerate_words
 from cflsep.grammar_io import ParseError, parse_file, parse_named, render
 from cflsep.nfa import Nfa, difference, word_automaton
 
-from support import FIXTURES, grammar, random_cfg
+from support import DEEP_CHAIN, FIXTURES, LONG_RULE, grammar, random_cfg
 
 
 # --- parsing ------------------------------------------------------------------
@@ -120,6 +126,13 @@ def test_main_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_main_undecodable_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b'grammar A { start S; S -> "\xe9"; }\n')
+    assert main([str(path)]) == EXIT_USAGE
+    assert "error" in capsys.readouterr().err
+
+
 def test_main_single_grammar_is_usage_error(capsys):
     code = main([fixture("c1.cfg")])
     assert code == EXIT_USAGE
@@ -135,6 +148,16 @@ def test_main_multiple_files(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OVERLAP
     assert 'witness=""' in out  # the empty word is in both
+
+
+@pytest.mark.parametrize("text", [LONG_RULE, DEEP_CHAIN], ids=["long-rule", "deep-chain"])
+def test_main_long_and_deep_rules_exit_separable(text, tmp_path, capsys):
+    path = tmp_path / "deep.cfg"
+    path.write_text(text + '\ngrammar B { start T; T -> "b"; }\n')
+    code = main([str(path)])
+    out = capsys.readouterr().out
+    assert code == EXIT_SEPARABLE
+    assert out.splitlines() == ["VERDICT: SEPARABLE", "iterations=0"]
 
 
 def test_main_timeout(capsys):
@@ -173,6 +196,43 @@ def test_main_validate_catches_approximation_missing_a_long_word(tmp_path, monke
     code = main([str(path), "--validate"])
     assert code == EXIT_INTERNAL
     assert "grammar #1" in capsys.readouterr().err
+
+
+def _run_main(text: str, *flags: str) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([str(path), *flags])
+    return code, out.getvalue()
+
+
+@st.composite
+def grammar_files(draw):
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=10**9), min_size=2, max_size=3))
+    return render([random_cfg(random.Random(seed)) for seed in seeds])
+
+
+@given(
+    grammar_files(),
+    st.sampled_from(["sigma-star", "nederhof"]),
+    st.sampled_from(["greedy-star", "greedy-eps"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_main_exit_code_contract_on_random_grammars(text, abstraction, strategy):
+    code, out = _run_main(
+        text, "--validate", "--max-refinements", "3", "--timeout", "5",
+        "--abstraction", abstraction, "--refine", strategy,
+    )
+    assert code in (EXIT_SEPARABLE, EXIT_OVERLAP, EXIT_UNKNOWN)
+    assert len(out.splitlines()) == 2
+
+
+@given(st.text(max_size=80).filter(lambda text: "grammar" not in text))
+@settings(max_examples=30, deadline=None)
+def test_main_non_grammar_text_is_usage_error(text):
+    assert _run_main(text) == (EXIT_USAGE, "")
 
 
 def test_validate_catches_bad_witness():

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,32 @@ def test_eps_generalize_running_example():
     assert equivalent(gen, expected)
 
 
+def test_eps_generalize_accepts_edges_in_candidate_order(monkeypatch):
+    accepted = []
+    real = PrestarSession.try_add
+
+    def spy(self, edge):
+        ok = real(self, edge)
+        if ok:
+            accepted.append(edge)
+        return ok
+
+    monkeypatch.setattr(PrestarSession, "try_add", spy)
+    gen = eps_generalize(AAB, AIBI1)
+    assert accepted == [
+        (0, None, 1), (2, None, 3), (1, None, 3), (0, None, 3),
+        (0, "a", 0), (1, "a", 1), (1, "a", 0), (2, "b", 1), (2, "b", 0),
+    ]
+    base = word_automaton(AAB)
+    assert gen == Nfa(
+        base.num_states,
+        base.alphabet,
+        base.transitions | frozenset(accepted),
+        base.initial,
+        base.accepting,
+    )
+
+
 def test_eps_generalize_single_letter():
     g1 = grammar(
         'grammar G1 { start S; S -> A B; '
@@ -239,24 +269,6 @@ def test_refine_approx_drops_witness():
         assert not accepts(refined, w)
 
 
-# --- anytime truncation ---------------------------------------------------------
-
-
-def test_anytime_truncation_stays_sound():
-    rng = random.Random(17)
-    for _ in range(30):
-        g = random_cfg(rng)
-        w = tuple(rng.choice(("a", "b")) for _ in range(rng.randint(0, 3)))
-        if member(g, w):
-            continue
-        cutoff = rng.randint(0, len(w) * (len(w) + 1) // 2)
-        sg = star_generalize(w, g, max_candidates=cutoff)
-        assert not intersects(g, gen_language(sg))
-        gen = eps_generalize(w, g, max_candidates=cutoff)
-        assert not intersects(g, gen)
-        assert accepts(gen, w)
-
-
 # --- maximum star generalization ------------------------------------------------
 
 
@@ -293,6 +305,17 @@ def test_max_star_generalize_budget():
         max_star_generalize(AIBI1, AAB, budget=2)
 
 
+@pytest.mark.parametrize(
+    "generalize, nodes", [(max_star_generalize, 27), (max_eps_generalize, 1446)]
+)
+def test_max_generalize_smallest_budget(generalize, nodes):
+    # the walk visits exactly this many include/exclude nodes on the running
+    # example; a change of candidate order or node counting moves it
+    generalize(AIBI1, AAB, budget=nodes)
+    with pytest.raises(BudgetExceededError):
+        generalize(AIBI1, AAB, budget=nodes - 1)
+
+
 # --- maximum epsilon generalization ---------------------------------------------
 
 
@@ -319,6 +342,29 @@ def test_max_eps_generalize_deep_tree_hits_budget_not_recursion_limit():
     anbn = grammar('grammar A { start S; S -> "a" S "b" | ; }')
     with pytest.raises(BudgetExceededError):
         max_eps_generalize(anbn, ("b",) * 32, budget=5000)
+
+
+def test_max_eps_generalize_is_independent_of_hash_seed():
+    # edge sets hold str labels, so set order follows PYTHONHASHSEED; tied
+    # maximal sets must still be unioned in one fixed order
+    script = (
+        "from cflsep.grammar_io import parse_file\n"
+        "from cflsep.nfa import to_dot\n"
+        "from cflsep.refinement import max_eps_generalize\n"
+        "(g,) = parse_file('grammar A { start S; S -> \"a\" S \"b\" | ; }')\n"
+        "print(to_dot(max_eps_generalize(g, ('b', 'a', 'a'))))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    dots = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        dots.append(run.stdout)
+    assert dots[0] == dots[1]
+    assert dots[0].count("->") > 1
 
 
 def test_max_generalizations_random():
