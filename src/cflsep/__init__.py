@@ -2,7 +2,7 @@
 
 from .approximation import make_fa, nederhof, sigma_star, strongly_regular
 from .engine import Config, Overlap, Separable, Unknown, Verdict, check_disjoint, classify_witness
-from .grammar import Cfg, GrammarError, Production, Symbol, enumerate_words, in_language, member, normalize, sccs
+from .grammar import Cfg, GrammarError, Production, Symbol, enumerate_words, normalize, sccs
 from .grammar_io import ParseError, parse_file, parse_named, render
 from .nfa import (
     Nfa,
@@ -18,7 +18,7 @@ from .nfa import (
     union,
     word_automaton,
 )
-from .prestar import PrestarSession, intersects, prestar
+from .prestar import PrestarSession, in_language, intersects, prestar
 from .refinement import (
     BudgetExceededError,
     StarGeneralization,
@@ -63,7 +63,6 @@ __all__ = [
     "make_fa",
     "max_eps_generalize",
     "max_star_generalize",
-    "member",
     "nederhof",
     "normalize",
     "parse_file",

@@ -14,10 +14,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .engine import Config, Overlap, Separable, Unknown, check_disjoint
-from .grammar import Cfg, GrammarError, member
+from .grammar import Cfg, GrammarError
 from .grammar_io import ParseError, parse_named
 from .nfa import Nfa, complement, intersect, is_empty, to_dot
-from .prestar import intersects
+from .prestar import in_language, intersects
 
 EXIT_SEPARABLE = 0
 EXIT_OVERLAP = 1
@@ -92,7 +92,7 @@ def _validate_verdict(
     """Re-check verdict validity; returns an error message on mismatch."""
     if isinstance(verdict, Overlap):
         for i, g in enumerate(grammars):
-            if not member(g, verdict.witness):
+            if not in_language(g, verdict.witness):
                 return f"witness not in language of grammar #{i + 1}"
         return None
     if isinstance(verdict, Separable):

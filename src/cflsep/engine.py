@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .approximation import nederhof, sigma_star
-from .grammar import Cfg, GrammarError, in_language
+from .grammar import Cfg, GrammarError
 from .nfa import Nfa, difference
 from .nfa import shortest_common_word as _joint_witness  # the per-round witness search
+from .prestar import in_language
 from .refinement import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     eps_generalize,
     gen_language,
@@ -35,7 +37,7 @@ class Config:
     abstraction: str = "nederhof"
     strategy: str = "greedy-eps"
     max_refinements: int = 100
-    maxgen_budget: int = 10**6
+    maxgen_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if self.abstraction not in ABSTRACTIONS:

@@ -1,13 +1,13 @@
-"""Context-free grammars: representation, normal form, SCCs, membership.
+"""Context-free grammars: representation, normal form, SCCs, enumeration.
 
 A grammar is an immutable value; every operation here is a pure function.
 Words are tuples of terminal names, so multi-character terminals (token
-alphabets) work exactly like single characters.
+alphabets) work exactly like single characters. Membership is decided by
+saturation, in ``prestar``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -241,108 +241,8 @@ def block_is_recursive(g: Cfg, block: Sequence[str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Membership and bounded enumeration
+# Bounded enumeration
 # ---------------------------------------------------------------------------
-
-
-def nullable_set(g: Cfg) -> frozenset[str]:
-    """Nonterminals that derive the empty word. ``g`` may be any grammar."""
-    gn = normalize(g)
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for p in gn.productions:
-            if p.lhs in nullable:
-                continue
-            if all(not s.terminal and s.name in nullable for s in p.rhs):
-                nullable.add(p.lhs)
-                changed = True
-    return frozenset(nullable)
-
-
-def _unit_expansion(gn: Cfg, nullable: frozenset[str]) -> dict[str, frozenset[str]]:
-    # inverse unit closure: expand[X] = all A with A =>* X using only unit
-    # steps, where A -> BC counts as a unit step to B (C nullable) or to C
-    # (B nullable)
-    direct: dict[str, set[str]] = {v: set() for v in gn.variables}
-    for p in gn.productions:
-        rhs = p.rhs
-        if len(rhs) == 1 and not rhs[0].terminal:
-            direct[rhs[0].name].add(p.lhs)
-        elif len(rhs) == 2:
-            b, c = rhs[0].name, rhs[1].name
-            if c in nullable:
-                direct[b].add(p.lhs)
-            if b in nullable:
-                direct[c].add(p.lhs)
-
-    expansion: dict[str, frozenset[str]] = {}
-    for x in gn.variables:
-        closure = {x}
-        frontier = deque([x])
-        while frontier:
-            y = frontier.popleft()
-            for a in direct[y]:
-                if a not in closure:
-                    closure.add(a)
-                    frontier.append(a)
-        expansion[x] = frozenset(closure)
-    return expansion
-
-
-def in_language(g: Cfg, word: Sequence[str]) -> bool:
-    """Total membership: words using symbols outside the grammar's alphabet
-    are simply not in the language (no error). The refinement loop works
-    over the union alphabet of several grammars and needs this reading."""
-    terms = set(g.terminals)
-    if any(sym not in terms for sym in word):
-        return False
-    return member(g, word)
-
-
-def member(g: Cfg, word: Sequence[str]) -> bool:
-    """Decide ``word in L(g)`` with a CYK-style chart on the normal form."""
-    terms = set(g.terminals)
-    for sym in word:
-        if sym not in terms:
-            raise GrammarError(f"word symbol {sym!r} not in the grammar alphabet")
-
-    gn = normalize(g)
-    nullable = nullable_set(gn)
-    if not word:
-        return gn.start in nullable
-
-    expand = _unit_expansion(gn, nullable)
-    n = len(word)
-    binary = [
-        (p.lhs, p.rhs[0].name, p.rhs[1].name)
-        for p in gn.productions
-        if len(p.rhs) == 2
-    ]
-    lexical: dict[str, set[str]] = {}
-    for p in gn.productions:
-        if len(p.rhs) == 1 and p.rhs[0].terminal:
-            lexical.setdefault(p.rhs[0].name, set()).add(p.lhs)
-
-    cell: dict[tuple[int, int], frozenset[str]] = {}
-    for i in range(n):
-        base = lexical.get(word[i], set())
-        cell[(i, i + 1)] = frozenset().union(*(expand[a] for a in base)) if base else frozenset()
-    for span in range(2, n + 1):
-        for i in range(n - span + 1):
-            j = i + span
-            found: set[str] = set()
-            for k in range(i + 1, j):
-                left, right = cell[(i, k)], cell[(k, j)]
-                for a, b, c in binary:
-                    if b in left and c in right:
-                        found.add(a)
-            closed: set[str] = set()
-            for a in found:
-                closed |= expand[a]
-            cell[(i, j)] = frozenset(closed)
-    return gn.start in cell[(0, n)]
 
 
 def enumerate_words(g: Cfg, max_len: int) -> frozenset[tuple[str, ...]]:

@@ -177,6 +177,17 @@ def parse_file(text: str) -> list[Cfg]:
     return [cfg for _, cfg in parse_named(text)]
 
 
+def _derivable(productions: tuple[Production, ...]) -> tuple[Production, ...]:
+    # alternatives using a nonterminal without productions derive no word, and
+    # the parser would reject the name: drop them, to a fixpoint
+    while True:
+        heads = {p.lhs for p in productions}
+        kept = tuple(p for p in productions if all(s.terminal or s.name in heads for s in p.rhs))
+        if kept == productions:
+            return kept
+        productions = kept
+
+
 def render(grammars: list[Cfg], names: list[str] | None = None) -> str:
     """Grammar file text that parses back to language-identical grammars."""
     if names is None:
@@ -185,7 +196,7 @@ def render(grammars: list[Cfg], names: list[str] | None = None) -> str:
     for name, g in zip(names, grammars):
         lines = [f"grammar {name} {{", f"  start {g.start};"]
         by_lhs: dict[str, list[Production]] = {}
-        for p in g.productions:
+        for p in _derivable(g.productions):
             by_lhs.setdefault(p.lhs, []).append(p)
         for lhs in g.variables:
             if lhs not in by_lhs:

@@ -1,4 +1,4 @@
-"""Saturation-based emptiness of L(G) ∩ L(A).
+"""Saturation-based emptiness of L(G) ∩ L(A), and with it membership.
 
 A table of triples (state, symbol, state) is closed under the production
 rules of a grammar in normal form (A -> BC | a | B | ε): a triple
@@ -6,7 +6,11 @@ rules of a grammar in normal form (A -> BC | a | B | ε): a triple
 from X. Epsilon edges of the automaton live in the same table and compose
 with every other entry, so generalization edges added later need no
 re-elimination. The intersection is nonempty exactly when the start symbol
-spans an initial-to-accepting pair.
+spans an initial-to-accepting pair. Membership of a word is the same
+question on the word's chain automaton. Labels and nonterminal names share
+the table, so an automaton edge enters it only when labelled ε or by a
+terminal of the grammar: a foreign terminal derives nothing, even one
+spelled like a nonterminal.
 
 PrestarSession supports the incremental discipline: tentatively add one
 edge, re-saturate, and either commit or revert to the byte-identical
@@ -19,7 +23,7 @@ from collections import deque
 from typing import Sequence
 
 from .grammar import Cfg, GrammarError, is_normal_form, normalize
-from .nfa import Nfa, eliminate_epsilon, trim
+from .nfa import Nfa, eliminate_epsilon, trim, word_automaton
 
 
 class _Saturator:
@@ -29,6 +33,7 @@ class _Saturator:
         if not is_normal_form(gn):
             raise GrammarError("saturation requires a grammar in normal form")
         self.num_states = num_states
+        self.terminals = frozenset(gn.terminals)
         self.eps_lhs: list[str] = []
         self.term_rules: dict[str, list[str]] = {}
         self.unit_rules: dict[str, list[str]] = {}
@@ -64,6 +69,11 @@ class _Saturator:
         for q, x, r in sorted(
             transitions, key=lambda tr: (tr[0], tr[1] or "", tr[2])
         ):
+            self.add_edge(q, x, r)
+
+    def add_edge(self, q: int, x: str | None, r: int) -> None:
+        """Enter an automaton edge; only ε and the grammar's terminals count."""
+        if x is None or x in self.terminals:
             self.add(q, x, r)
 
     def add(self, q: int, sym: str | None, r: int) -> None:
@@ -124,10 +134,10 @@ class _Saturator:
 def prestar(g: Cfg, a: Nfa) -> Nfa:
     """Saturated automaton recognizing the derivation predecessors of L(a).
 
-    ``g`` must already be in normal form; states of ``a`` are preserved, and
-    the result's alphabet is extended with the grammar's nonterminals (a
-    nonterminal-labeled transition (q, A, q') records that A derives some
-    word read between q and q').
+    ``g`` must already be in normal form; states and transitions of ``a``
+    are preserved, and the result's alphabet is extended with the grammar's
+    nonterminals (a nonterminal-labeled transition (q, A, q') records that A
+    derives some word read between q and q').
     """
     if not is_normal_form(g):
         raise GrammarError("prestar requires a grammar in normal form")
@@ -135,7 +145,7 @@ def prestar(g: Cfg, a: Nfa) -> Nfa:
     sat.seed(tuple(a.transitions))
     sat.saturate()
     alphabet = a.alphabet + tuple(v for v in g.variables if v not in set(a.alphabet))
-    return Nfa(a.num_states, alphabet, frozenset(sat.table), a.initial, a.accepting)
+    return Nfa(a.num_states, alphabet, a.transitions | sat.table, a.initial, a.accepting)
 
 
 def intersects(g: Cfg, a: Nfa) -> bool:
@@ -150,19 +160,18 @@ def intersects(g: Cfg, a: Nfa) -> bool:
     return sat.spans(compact.initial, compact.accepting, gn.start)
 
 
+def in_language(g: Cfg, word: Sequence[str]) -> bool:
+    """True iff ``word`` is in L(g). Total: a word with a symbol outside the
+    grammar's alphabet is outside the language, as the engine needs."""
+    return intersects(g, word_automaton(word))
+
+
 def _chain_word(a: Nfa) -> tuple[str, ...]:
-    n = a.num_states - 1
-    expected = set()
-    word = []
-    for i in range(n):
-        out = [(x, r) for q, x, r in a.transitions if q == i]
-        if len(out) != 1 or out[0][0] is None or out[0][1] != i + 1:
-            raise GrammarError("session base must be a single-word chain automaton")
-        word.append(out[0][0])
-        expected.add((i, out[0][0], i + 1))
-    if a.transitions != frozenset(expected) or a.initial != 0 or a.accepting != frozenset({n}):
+    step = {q: x for q, x, r in a.transitions if r == q + 1}
+    word = tuple(step.get(q) for q in range(a.num_states - 1))
+    if None in word or word_automaton(word, a.alphabet) != a:
         raise GrammarError("session base must be a single-word chain automaton")
-    return tuple(word)
+    return word
 
 
 class PrestarSession:
@@ -224,7 +233,7 @@ class PrestarSession:
         if edge in self.edges:
             return True
         token = self.snapshot()
-        self._sat.add(*edge)
+        self._sat.add_edge(*edge)
         self._sat.saturate()
         if self.intersects():
             self.rollback(token)

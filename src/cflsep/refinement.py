@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
-from .grammar import Cfg, GrammarError, in_language, normalize
+from .grammar import Cfg, GrammarError, normalize
 from .nfa import Nfa, union, word_automaton
-from .prestar import PrestarSession, intersects
+from .prestar import PrestarSession, in_language, intersects
 
 DEFAULT_BUDGET = 10**6
 
@@ -121,6 +121,13 @@ def _outside(g: Cfg, w: Sequence[str]) -> tuple[str, ...]:
     return w
 
 
+def _eps_session(g: Cfg, base: Nfa) -> PrestarSession:
+    session = PrestarSession(g, base)
+    if session.intersects():  # the base saturation decides membership
+        raise GrammarError("witness is in the language; it cannot be generalized")
+    return session
+
+
 def _star_candidates(n: int) -> list[tuple[int, int]]:
     # increasing span, then increasing start position
     return [(i, i + span) for span in range(1, n + 1) for i in range(n - span + 1)]
@@ -214,8 +221,8 @@ def eps_generalize(w: Sequence[str], g: Cfg) -> Nfa:
     """Greedy maximal epsilon generalization of ``w`` against ``L(g)``: forward
     epsilon edges (shortest span first), then backward edges, each kept when
     the saturation session shows L(g) still excluded."""
-    w = _outside(g, w)
-    session = PrestarSession(g, word_automaton(w))
+    w = tuple(w)
+    session = _eps_session(g, word_automaton(w))
     next(_walk(session, _eps_candidates(w)))  # the session now holds the first leaf
     return session.automaton()
 
@@ -233,10 +240,10 @@ def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) 
 
 def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
     """Union of every valid epsilon generalization of ``w`` against ``L(g)``."""
-    w = _outside(g, w)
+    w = tuple(w)
     base = word_automaton(w)
     candidates = _eps_candidates(w)
-    leaves = _walk(PrestarSession(g, base), candidates, budget)
+    leaves = _walk(_eps_session(g, base), candidates, budget)
     return _union_of_maxima(
         leaves, candidates, lambda e: replace(base, transitions=base.transitions | e)
     )

@@ -34,6 +34,14 @@ PALINDROME = grammar(
 )
 
 
+# disjoint languages where one grammar's terminal is spelled like the other's
+# start symbol: T* T against a* b
+NAME_CLASH = (
+    'grammar Tees { start S; S -> "T" | "T" S; }\n'
+    'grammar Ab { start T; T -> "a" T | "b"; }\n'
+)
+
+
 # deeper than Python's default recursion limit: one rule of 1200 symbols
 # (the word a^1200), and 1200 nonterminals each nesting the next (a^1200 b)
 LONG_RULE = 'grammar Long { start S; S -> ' + ' '.join(['"a"'] * 1200) + '; }'
@@ -53,8 +61,12 @@ def hand_nfa(n: int, alphabet: tuple[str, ...], trans, initial: int, accepting) 
     return Nfa(n, alphabet, frozenset(trans), initial, frozenset(accepting))
 
 
-def random_cfg(rng: random.Random, alphabet: tuple[str, ...] = ("a", "b")) -> Cfg:
-    names = ("S", "A", "B")[: rng.randint(1, 3)]
+def random_cfg(
+    rng: random.Random,
+    alphabet: tuple[str, ...] = ("a", "b"),
+    variables: tuple[str, ...] = ("S", "A", "B"),
+) -> Cfg:
+    names = variables[: rng.randint(1, 3)]
     prods = []
     for v in names:
         for _ in range(rng.randint(1, 3)):
@@ -66,7 +78,7 @@ def random_cfg(rng: random.Random, alphabet: tuple[str, ...] = ("a", "b")) -> Cf
                 for _ in range(length)
             )
             prods.append(Production(v, rhs))
-    return Cfg(names, alphabet, tuple(prods), "S")
+    return Cfg(names, alphabet, tuple(prods), names[0])
 
 
 def random_nfa(

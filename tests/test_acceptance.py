@@ -7,7 +7,7 @@ import time
 import cflsep.refinement as refinement_module
 from cflsep.approximation import nederhof, sigma_star
 from cflsep.engine import Config, Overlap, Separable, check_disjoint
-from cflsep.grammar import enumerate_words, member, normalize
+from cflsep.grammar import enumerate_words, normalize
 from cflsep.nfa import (
     accepts,
     difference,
@@ -16,7 +16,7 @@ from cflsep.nfa import (
     is_empty,
     word_automaton,
 )
-from cflsep.prestar import PrestarSession, intersects, prestar
+from cflsep.prestar import PrestarSession, in_language, intersects, prestar
 from cflsep.refinement import (
     eps_generalize,
     gen_language,
@@ -142,7 +142,7 @@ def test_criterion_5_table_verdicts():
         else:
             if not isinstance(verdict, Overlap):
                 failures.append(f"{name}: expected overlap, got {verdict}")
-            elif not all(member(g, verdict.witness) for g in grammars):
+            elif not all(in_language(g, verdict.witness) for g in grammars):
                 failures.append(f"{name}: witness not in both languages")
         status = "ok" if len(failures) == before else "bad"
         print(
@@ -189,7 +189,7 @@ def test_criterion_7_shared_memory_program():
 def _random_outside_witness(rng, g, max_len=3):
     for _ in range(20):
         w = tuple(rng.choice(g.terminals) for _ in range(rng.randint(0, max_len)))
-        if not member(g, w):
+        if not in_language(g, w):
             return w
     return None
 

@@ -19,11 +19,11 @@ from cflsep.cli import (
     main,
 )
 from cflsep.engine import Overlap, Separable
-from cflsep.grammar import enumerate_words
+from cflsep.grammar import Cfg, Production, enumerate_words, nt, t
 from cflsep.grammar_io import ParseError, parse_file, parse_named, render
 from cflsep.nfa import Nfa, difference, word_automaton
 
-from support import DEEP_CHAIN, FIXTURES, LONG_RULE, grammar, random_cfg
+from support import DEEP_CHAIN, FIXTURES, LONG_RULE, NAME_CLASH, grammar, random_cfg
 
 
 # --- parsing ------------------------------------------------------------------
@@ -96,6 +96,54 @@ def test_render_round_trip_random():
         g = random_cfg(rng)
         (back,) = parse_file(render([g]))
         assert enumerate_words(g, 6) == enumerate_words(back, 6)
+
+
+_TERMINALS = ("a", "b", "ab", "x_1", "if")
+
+
+@st.composite
+def cfgs(draw):
+    # some variables may get no production; they derive no word
+    variables = ("S", "A", "B", "C")[: draw(st.integers(min_value=1, max_value=4))]
+    symbol = st.sampled_from(_TERMINALS).map(t) | st.sampled_from(variables).map(nt)
+    production = st.builds(
+        Production, st.sampled_from(variables), st.lists(symbol, max_size=3).map(tuple)
+    )
+    productions = draw(st.lists(production, max_size=6))
+    return Cfg(variables, _TERMINALS, tuple(productions), "S")
+
+
+@st.composite
+def named_cfgs(draw):
+    names = draw(
+        st.lists(
+            st.from_regex(r"[A-Za-z_][A-Za-z0-9_']{0,5}", fullmatch=True),
+            min_size=1, max_size=3, unique=True,
+        )
+    )
+    return names, [draw(cfgs()) for _ in names]
+
+
+@given(named_cfgs())
+@settings(max_examples=80, deadline=None)
+def test_render_parses_back_to_the_same_names_and_languages(named):
+    names, grammars = named
+    back = parse_named(render(grammars, names))
+    assert [name for name, _ in back] == names
+    for g, (_, h) in zip(grammars, back):
+        assert enumerate_words(g, 4) == enumerate_words(h, 4)
+
+
+_SOUP = ("grammar", "start", "{", "}", ";", "->", "|", '"a"', '"S"', '""', "S", "G", "#", "\n")
+
+
+@given(st.lists(st.sampled_from(_SOUP), max_size=24))
+@settings(max_examples=100, deadline=None)
+def test_parse_token_soup_raises_only_parse_errors(tokens):
+    try:
+        parse_named(" ".join(["grammar", *tokens]))
+    except ParseError:
+        pass
 
 
 # --- command-line entry -------------------------------------------------------
@@ -198,6 +246,15 @@ def test_main_validate_catches_approximation_missing_a_long_word(tmp_path, monke
     assert "grammar #1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strategy", ["greedy-star", "greedy-eps"])
+def test_main_validate_accepts_terminal_spelled_like_a_nonterminal(strategy, tmp_path, capsys):
+    path = tmp_path / "clash.cfg"
+    path.write_text(NAME_CLASH)
+    code = main([str(path), "--validate", "--abstraction", "sigma-star", "--refine", strategy])
+    assert code == EXIT_SEPARABLE
+    assert capsys.readouterr().out.splitlines()[0] == "VERDICT: SEPARABLE"
+
+
 def _run_main(text: str, *flags: str) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.cfg"
@@ -211,7 +268,12 @@ def _run_main(text: str, *flags: str) -> tuple[int, str]:
 @st.composite
 def grammar_files(draw):
     seeds = draw(st.lists(st.integers(min_value=0, max_value=10**9), min_size=2, max_size=3))
-    return render([random_cfg(random.Random(seed)) for seed in seeds])
+    grammars = [random_cfg(random.Random(seed)) for seed in seeds]
+    clash = draw(st.none() | st.integers(min_value=0, max_value=10**9))
+    if clash is not None:
+        # terminals spelled like the other grammars' nonterminals
+        grammars.append(random_cfg(random.Random(clash), ("S", "A", "B"), ("T", "U", "V")))
+    return render(grammars)
 
 
 @given(

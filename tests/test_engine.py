@@ -12,8 +12,9 @@ from cflsep.engine import (
     check_disjoint,
     classify_witness,
 )
-from cflsep.grammar import GrammarError, enumerate_words, member
+from cflsep.grammar import GrammarError, enumerate_words
 from cflsep.nfa import accepts, difference, is_empty
+from cflsep.prestar import in_language
 
 from support import AIBI1, PALINDROME, grammar, load_fixture, random_cfg
 
@@ -41,7 +42,7 @@ def test_same_grammar_overlaps_immediately():
     verdict = check_disjoint([REG_AB, REG_AB])
     assert isinstance(verdict, Overlap)
     assert verdict.iterations == 0
-    assert member(REG_AB, verdict.witness)
+    assert in_language(REG_AB, verdict.witness)
 
 
 def test_needs_at_least_two_grammars():
@@ -148,7 +149,7 @@ def test_refined_approximations_reject_their_witnesses(monkeypatch):
     assert len(set(witnesses)) == len(witnesses)
     for w in witnesses:
         for g, approx in zip([g1, g2], verdict.approximations):
-            if not member(g, w):
+            if not in_language(g, w):
                 assert not accepts(approx, w)
 
 
@@ -212,7 +213,7 @@ def test_random_pairs_have_valid_verdicts():
             Config(abstraction="nederhof", strategy="greedy-eps", max_refinements=15),
         )
         if isinstance(verdict, Overlap):
-            assert member(g1, verdict.witness) and member(g2, verdict.witness)
+            assert in_language(g1, verdict.witness) and in_language(g2, verdict.witness)
         elif isinstance(verdict, Separable):
             shared = tuple(dict.fromkeys(g1.terminals + g2.terminals))
             assert _joint_witness(verdict.approximations, shared) is None

@@ -10,12 +10,11 @@ from cflsep.grammar import (
     Production,
     enumerate_words,
     is_normal_form,
-    member,
     normalize,
     nt,
-    nullable_set,
     sccs,
 )
+from cflsep.prestar import in_language
 
 from support import AIBI1, PALINDROME, grammar, random_cfg, words_upto
 
@@ -100,28 +99,30 @@ def test_sccs_partition_properties():
             assert v in part.blocks[part.index[v]]
 
 
-# --- member -----------------------------------------------------------------
+# --- membership -------------------------------------------------------------
 
 
 def test_member_palindrome():
-    assert member(PALINDROME, ("a", "b", "b", "a"))
-    assert not member(PALINDROME, ("a", "b"))
+    assert in_language(PALINDROME, ("a", "b", "b", "a"))
+    assert not in_language(PALINDROME, ("a", "b"))
 
 
 def test_member_witness_outside():
-    assert not member(AIBI1, ("a", "a", "b"))
-    assert member(AIBI1, ("a", "a", "b", "b", "b"))
+    assert not in_language(AIBI1, ("a", "a", "b"))
+    assert in_language(AIBI1, ("a", "a", "b", "b", "b"))
 
 
 def test_member_empty_word():
     g = grammar('grammar G { start S; S -> ; }')
-    assert member(g, ())
-    assert not member(AIBI1, ())
+    assert in_language(g, ())
+    assert not in_language(AIBI1, ())
+    nullable = grammar('grammar G { start S; S -> A B; A -> ; B -> "b" | ; }')
+    assert in_language(nullable, ())
 
 
-def test_member_rejects_foreign_symbols():
-    with pytest.raises(GrammarError):
-        member(PALINDROME, ("a", "z"))
+def test_foreign_symbols_are_outside_the_language():
+    assert not in_language(PALINDROME, ("a", "z"))
+    assert not in_language(PALINDROME, ("A",))  # spelled like its start symbol
 
 
 # --- enumerate_words --------------------------------------------------------
@@ -150,14 +151,6 @@ def test_enumerate_negative_length():
         enumerate_words(PALINDROME, -1)
 
 
-# --- nullability and pruning -----------------------------------------------
-
-
-def test_nullable_set():
-    g = grammar('grammar G { start S; S -> A B; A -> ; B -> "b" | ; }')
-    assert nullable_set(g) == frozenset({"S", "A", "B"})
-
-
 # --- randomized properties --------------------------------------------------
 
 
@@ -175,7 +168,7 @@ def test_normalize_preserves_language(g):
 
 @given(small_cfgs())
 @settings(max_examples=50, deadline=None)
-def test_member_agrees_with_enumeration(g):
+def test_in_language_agrees_with_enumeration(g):
     words = enumerate_words(g, 7)
     for w in words_upto(g.terminals, 7):
-        assert member(g, w) == (w in words)
+        assert in_language(g, w) == (w in words)

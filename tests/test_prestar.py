@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from cflsep.grammar import GrammarError, enumerate_words, member, normalize
+from cflsep.grammar import GrammarError, enumerate_words, normalize
+from cflsep.grammar_io import parse_file
 from cflsep.nfa import enumerate_accepted, word_automaton
-from cflsep.prestar import PrestarSession, _Saturator, intersects, prestar
+from cflsep.prestar import PrestarSession, _Saturator, in_language, intersects, prestar
 from cflsep.refinement import gen_language, StarGeneralization
 
-from support import AIBI1, PALINDROME, grammar, hand_nfa, random_cfg, random_nfa
+from support import AIBI1, NAME_CLASH, PALINDROME, grammar, hand_nfa, random_cfg, random_nfa
 
 ABBA = word_automaton(("a", "b", "b", "a"))
 
@@ -43,7 +44,7 @@ def test_prestar_marked_center():
     c3 = normalize(grammar('grammar C3 { start S; S -> "a" S "a" | "a" "c" "a"; }'))
     aca = word_automaton(("a", "c", "a"))
     out = prestar(c3, aca)
-    assert member(c3, ("a", "c", "a"))
+    assert in_language(c3, ("a", "c", "a"))
     assert (0, "S", 3) in out.transitions
 
 
@@ -60,6 +61,22 @@ def test_intersects_examples():
     assert not intersects(AIBI1, gen)
     empty = hand_nfa(1, ("a",), set(), 0, set())
     assert not intersects(PALINDROME, empty)
+
+
+def test_foreign_terminal_is_not_a_nonterminal():
+    # Tees' terminal "T" is spelled like Ab's start symbol; in Ab it is a
+    # foreign symbol and derives nothing
+    tees, ab = parse_file(NAME_CLASH)
+    assert not intersects(ab, word_automaton(("T",)))
+    assert not in_language(ab, ("T",))
+    assert not in_language(ab, ("a", "T"))
+    assert in_language(tees, ("T", "T"))
+
+
+def test_prestar_keeps_every_input_edge():
+    gn = normalize(AIBI1)
+    a = hand_nfa(3, ("a", "z"), {(0, "a", 1), (1, "z", 2), (0, None, 2)}, 0, {2})
+    assert a.transitions <= prestar(gn, a).transitions
 
 
 def test_saturation_is_monotone_and_terminates():
@@ -120,7 +137,7 @@ def test_session_matches_fresh_prestar_after_rejections():
     word = ("a", "a", "b")
     for _ in range(20):
         g = random_cfg(rng)
-        if member(g, word):
+        if in_language(g, word):
             continue
         session = PrestarSession(g, word_automaton(word))
         edges = [(0, None, 1), (1, None, 2), (0, None, 3), (1, "a", 0), (2, "b", 1)]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cflsep.refinement as refinement
-from cflsep.grammar import GrammarError, member
+from cflsep.grammar import GrammarError
 from cflsep.nfa import (
     Nfa,
     accepts,
@@ -18,7 +18,7 @@ from cflsep.nfa import (
     is_empty,
     word_automaton,
 )
-from cflsep.prestar import PrestarSession, intersects
+from cflsep.prestar import PrestarSession, in_language, intersects
 from cflsep.refinement import (
     BudgetExceededError,
     StarGeneralization,
@@ -213,6 +213,19 @@ def test_eps_generalize_empty_witness():
     assert enumerate_accepted(gen, 3) == frozenset({()})
 
 
+def test_eps_generalizers_read_membership_off_the_session(monkeypatch):
+    # the session's base saturation is the precondition check; no second one
+    def refuse(g, w):
+        raise AssertionError("separate membership check")
+
+    monkeypatch.setattr(refinement, "in_language", refuse)
+    assert eps_generalize(AAB, AIBI1) is not None
+    assert max_eps_generalize(AIBI1, AAB) is not None
+    for generalize in (eps_generalize, lambda w, g: max_eps_generalize(g, w)):
+        with pytest.raises(GrammarError):
+            generalize(("b",), AIBI1)  # "b" is in the language
+
+
 def test_eps_generalize_edge_budget(monkeypatch):
     session_calls = {"n": 0}
     original = PrestarSession.try_add
@@ -262,7 +275,7 @@ def test_refine_approx_drops_witness():
     for _ in range(25):
         g = random_cfg(rng)
         w = tuple(rng.choice(("a", "b")) for _ in range(rng.randint(0, 3)))
-        if member(g, w):
+        if in_language(g, w):
             continue
         gen = gen_language(star_generalize(w, g))
         refined = difference(A_STAR_B_STAR, gen)
@@ -373,7 +386,7 @@ def test_max_generalizations_random():
     while done < 15:
         g = random_cfg(rng)
         w = tuple(rng.choice(("a", "b")) for _ in range(rng.randint(1, 3)))
-        if member(g, w):
+        if in_language(g, w):
             continue
         done += 1
         m_star = max_star_generalize(g, w)
