@@ -2,18 +2,14 @@
 
 from .approximation import make_fa, nederhof, sigma_star, strongly_regular
 from .engine import Config, Overlap, Separable, Unknown, Verdict, check_disjoint, classify_witness
-from .grammar import Cfg, GrammarError, Production, Symbol, enumerate_words, normalize, sccs
+from .grammar import Cfg, GrammarError, Production, Symbol, normalize, sccs
 from .grammar_io import ParseError, parse_file, parse_named, render
 from .nfa import (
     Nfa,
-    accepts,
     complement,
     difference,
-    enumerate_accepted,
-    equivalent,
     intersect,
     is_empty,
-    shortest_witness,
     to_dot,
     union,
     word_automaton,
@@ -46,15 +42,11 @@ __all__ = [
     "Symbol",
     "Unknown",
     "Verdict",
-    "accepts",
     "check_disjoint",
     "classify_witness",
     "complement",
     "difference",
-    "enumerate_accepted",
-    "enumerate_words",
     "eps_generalize",
-    "equivalent",
     "gen_language",
     "intersect",
     "in_language",
@@ -70,7 +62,6 @@ __all__ = [
     "prestar",
     "render",
     "sccs",
-    "shortest_witness",
     "sigma_star",
     "star_generalize",
     "strongly_regular",

@@ -10,16 +10,9 @@ the grammar was strongly regular to begin with.
 
 from __future__ import annotations
 
-from .grammar import (
-    Cfg,
-    Production,
-    SccPartition,
-    Symbol,
-    block_is_recursive,
-    fresh_name,
-    nt,
-    sccs,
-)
+from typing import Iterable
+
+from .grammar import Cfg, Production, Symbol, fresh_name, nt, sccs
 from .nfa import Nfa, trim
 
 
@@ -34,17 +27,30 @@ def sigma_star(alphabet: tuple[str, ...] | list[str]) -> Nfa:
     return Nfa(1, alpha, transitions, 0, frozenset({0}))
 
 
-def _is_left_linear(prod: Production, block: set[str]) -> bool:
-    # block nonterminal allowed only as the very first symbol
-    return all(
-        sym.terminal or sym.name not in block for sym in prod.rhs[1:]
-    )
+def _block_kind(block: tuple[str, ...], prods: Iterable[Production]) -> str | None:
+    """How the members of ``block`` use each other in ``prods``, its productions.
 
-
-def _is_right_linear(prod: Production, block: set[str]) -> bool:
-    return all(
-        sym.terminal or sym.name not in block for sym in prod.rhs[:-1]
-    )
+    "flat": no member uses a member, so the block is not recursive.
+    "left": members occur only first in a right-hand side (left-linear).
+    "right": members occur only last (right-linear).
+    "cyclic": members occur only alone, as unit productions.
+    ``None``: some member occurs in non-first position and some member in
+    non-last position, so the block is neither left- nor right-linear.
+    """
+    members = set(block)
+    recursive = len(block) > 1
+    not_first = not_last = False
+    for p in prods:
+        for i, sym in enumerate(p.rhs):
+            if not sym.terminal and sym.name in members:
+                recursive = True
+                not_first |= i > 0
+                not_last |= i < len(p.rhs) - 1
+    if not recursive:
+        return "flat"
+    if not_first and not_last:
+        return None
+    return "left" if not_last else "right" if not_first else "cyclic"
 
 
 def strongly_regular(g: Cfg) -> Cfg:
@@ -66,10 +72,7 @@ def strongly_regular(g: Cfg) -> Cfg:
     for block in partition.blocks:
         members = set(block)
         block_prods = [p for p in g.productions if p.lhs in members]
-        uniform = all(_is_left_linear(p, members) for p in block_prods) or all(
-            _is_right_linear(p, members) for p in block_prods
-        )
-        if uniform:
+        if _block_kind(block, block_prods) is not None:
             productions.extend(block_prods)
             continue
 
@@ -113,45 +116,21 @@ def strongly_regular(g: Cfg) -> Cfg:
 
 
 class _Builder:
-    def __init__(self, grammar: Cfg, partition: SccPartition) -> None:
-        self.grammar = grammar
-        self.partition = partition
+    def __init__(self, grammar: Cfg) -> None:
+        self.partition = sccs(grammar)
         self.num_states = 0
         self.transitions: set[tuple[int, str | None, int]] = set()
         self._by_lhs: dict[str, list[Production]] = {v: [] for v in grammar.variables}
         for p in grammar.productions:
             self._by_lhs[p.lhs].append(p)
-        self._recursive = {
-            i: block_is_recursive(grammar, block)
-            for i, block in enumerate(partition.blocks)
-        }
+        self._kinds = [
+            _block_kind(block, (p for c in block for p in self._by_lhs[c]))
+            for block in self.partition.blocks
+        ]
 
     def fresh_state(self) -> int:
         self.num_states += 1
         return self.num_states - 1
-
-    def classify(self, block: tuple[str, ...]) -> str:
-        members = set(block)
-        left_generating = right_generating = False
-        for p in self.grammar.productions:
-            if p.lhs not in members:
-                continue
-            for i, sym in enumerate(p.rhs):
-                if sym.terminal or sym.name not in members:
-                    continue
-                if i > 0:
-                    left_generating = True
-                if i < len(p.rhs) - 1:
-                    right_generating = True
-        if left_generating and right_generating:
-            raise ApproximationError(
-                f"block {block} is not uniformly left- or right-linear"
-            )
-        if right_generating:
-            return "left"
-        if left_generating:
-            return "right"
-        return "cyclic"
 
     def emit(self, q0: int, seq: tuple[Symbol, ...], q1: int) -> None:
         """Add a path from q0 to q1 reading ``seq``.
@@ -182,12 +161,16 @@ class _Builder:
         """The emit tasks, in order, of a path from q0 to q1 derived from ``var``."""
         block_id = self.partition.index[var]
         block = self.partition.blocks[block_id]
-        if not self._recursive[block_id]:
+        kind = self._kinds[block_id]
+        if kind == "flat":
             return [(q0, p.rhs, q1) for p in self._by_lhs[var]]
+        if kind is None:
+            raise ApproximationError(
+                f"block {block} is not uniformly left- or right-linear"
+            )
 
         members = set(block)
         state_of = {member: self.fresh_state() for member in block}
-        kind = self.classify(block)
         tasks = []
         if kind == "left":
             for c in block:
@@ -195,12 +178,7 @@ class _Builder:
                     if all(s.terminal or s.name not in members for s in p.rhs):
                         tasks.append((q0, p.rhs, state_of[c]))
                     else:
-                        head = p.rhs[0]
-                        if head.terminal or head.name not in members:
-                            raise ApproximationError(
-                                f"production {p!r} breaks left-linearity of {block}"
-                            )
-                        tasks.append((state_of[head.name], p.rhs[1:], state_of[c]))
+                        tasks.append((state_of[p.rhs[0].name], p.rhs[1:], state_of[c]))
             self.transitions.add((state_of[var], None, q1))
         else:  # right or cyclic
             for c in block:
@@ -208,27 +186,22 @@ class _Builder:
                     if all(s.terminal or s.name not in members for s in p.rhs):
                         tasks.append((state_of[c], p.rhs, q1))
                     else:
-                        tail = p.rhs[-1]
-                        if tail.terminal or tail.name not in members:
-                            raise ApproximationError(
-                                f"production {p!r} breaks right-linearity of {block}"
-                            )
-                        tasks.append((state_of[c], p.rhs[:-1], state_of[tail.name]))
+                        tasks.append((state_of[c], p.rhs[:-1], state_of[p.rhs[-1].name]))
             self.transitions.add((q0, None, state_of[var]))
         return tasks
 
 
-def make_fa(g: Cfg, part: SccPartition) -> Nfa:
+def make_fa(g: Cfg) -> Nfa:
     """Compile a strongly regular grammar into a finite automaton.
 
-    ``part`` must be the SCC partition of ``g`` itself. Recursion is closed
-    through one state per block member: "left" blocks hook the member state
-    to the caller's final state, "right" and "cyclic" blocks hook the
-    caller's initial state to the member state. Each encounter of a
-    recursive nonterminal instantiates the block afresh, which is finite
-    because the block condensation is acyclic.
+    Raises ``ApproximationError`` when a reachable recursive block is neither
+    left- nor right-linear. Recursion is closed through one state per block
+    member: "left" blocks hook the member state to the caller's final state,
+    "right" and "cyclic" blocks hook the caller's initial state to the
+    member state. Each encounter of a recursive nonterminal instantiates the
+    block afresh, which is finite because the block condensation is acyclic.
     """
-    builder = _Builder(g, part)
+    builder = _Builder(g)
     q0 = builder.fresh_state()
     qf = builder.fresh_state()
     builder.emit(q0, (nt(g.start),), qf)
@@ -244,5 +217,4 @@ def make_fa(g: Cfg, part: SccPartition) -> Nfa:
 
 def nederhof(g: Cfg) -> Nfa:
     """Regular over-approximation: strongly-regular rewrite, then make_fa."""
-    regular = strongly_regular(g)
-    return make_fa(regular, sccs(regular))
+    return make_fa(strongly_regular(g))

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .engine import Config, Overlap, Separable, Unknown, check_disjoint
+from .engine import ABSTRACTIONS, STRATEGIES, Config, Overlap, Separable, Unknown, check_disjoint
 from .grammar import Cfg, GrammarError
 from .grammar_io import ParseError, parse_named
 from .nfa import Nfa, complement, intersect, is_empty, to_dot
@@ -42,19 +42,20 @@ def build_parser() -> argparse.ArgumentParser:
         "files generate disjoint languages.",
     )
     parser.add_argument("files", nargs="+", help="grammar files (at least two grammars in total)")
+    defaults = Config()
     parser.add_argument(
         "--abstraction",
-        choices=["sigma-star", "nederhof"],
-        default="nederhof",
-        help="initial regular approximation (default: nederhof)",
+        choices=ABSTRACTIONS,
+        default=defaults.abstraction,
+        help="initial regular approximation (default: %(default)s)",
     )
     parser.add_argument(
         "--refine",
-        choices=["greedy-star", "greedy-eps", "max-star", "max-eps"],
-        default="greedy-eps",
-        help="counterexample generalization strategy (default: greedy-eps)",
+        choices=STRATEGIES,
+        default=defaults.strategy,
+        help="counterexample generalization strategy (default: %(default)s)",
     )
-    parser.add_argument("--max-refinements", type=int, default=100, metavar="N")
+    parser.add_argument("--max-refinements", type=int, default=defaults.max_refinements, metavar="N")
     parser.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS")
     parser.add_argument(
         "--dump-approx",

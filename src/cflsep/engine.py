@@ -19,7 +19,6 @@ from .nfa import Nfa, difference
 from .nfa import shortest_common_word as _joint_witness  # the per-round witness search
 from .prestar import in_language
 from .refinement import (
-    DEFAULT_BUDGET,
     BudgetExceededError,
     eps_generalize,
     gen_language,
@@ -37,7 +36,6 @@ class Config:
     abstraction: str = "nederhof"
     strategy: str = "greedy-eps"
     max_refinements: int = 100
-    maxgen_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         if self.abstraction not in ABSTRACTIONS:
@@ -89,8 +87,8 @@ def _generalize(g: Cfg, w: tuple[str, ...], cfg: Config) -> Nfa:
     if cfg.strategy == "greedy-eps":
         return eps_generalize(w, g)
     if cfg.strategy == "max-star":
-        return max_star_generalize(g, w, budget=cfg.maxgen_budget)
-    return max_eps_generalize(g, w, budget=cfg.maxgen_budget)
+        return max_star_generalize(g, w)
+    return max_eps_generalize(g, w)
 
 
 def check_disjoint(

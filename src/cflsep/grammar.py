@@ -1,15 +1,15 @@
-"""Context-free grammars: representation, normal form, SCCs, enumeration.
+"""Context-free grammars: representation, normal form, SCCs.
 
 A grammar is an immutable value; every operation here is a pure function.
 Words are tuples of terminal names, so multi-character terminals (token
 alphabets) work exactly like single characters. Membership is decided by
-saturation, in ``prestar``.
+saturation, in ``prestar``; the bounded enumeration that the tests compare
+it with lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 class GrammarError(ValueError):
@@ -225,59 +225,3 @@ def sccs(g: Cfg) -> SccPartition:
     components.reverse()  # Tarjan emits referenced blocks first
     block_index = {v: i for i, block in enumerate(components) for v in block}
     return SccPartition(tuple(components), block_index)
-
-
-def block_is_recursive(g: Cfg, block: Sequence[str]) -> bool:
-    """A block is recursive iff some production of a member uses a member."""
-    if len(block) > 1:
-        return True
-    members = set(block)
-    for p in g.productions:
-        if p.lhs in members and any(
-            not s.terminal and s.name in members for s in p.rhs
-        ):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Bounded enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_words(g: Cfg, max_len: int) -> frozenset[tuple[str, ...]]:
-    """Exactly the words of ``L(g)`` whose length is at most ``max_len``.
-
-    Bottom-up fixpoint over the normal form; terminates because each
-    nonterminal's word set is bounded by the finite set of short words.
-    """
-    if max_len < 0:
-        raise GrammarError("max_len must be nonnegative")
-    gn = normalize(g)
-    words: dict[str, set[tuple[str, ...]]] = {v: set() for v in gn.variables}
-    changed = True
-    while changed:
-        changed = False
-        for p in gn.productions:
-            target = words[p.lhs]
-            before = len(target)
-            rhs = p.rhs
-            if len(rhs) == 0:
-                target.add(())
-            elif len(rhs) == 1 and rhs[0].terminal:
-                if max_len >= 1:
-                    target.add((rhs[0].name,))
-            elif len(rhs) == 1:
-                target |= words[rhs[0].name]
-            else:
-                # snapshot: rhs sets may alias the target (e.g. S -> S S)
-                left = tuple(words[rhs[0].name])
-                right = tuple(words[rhs[1].name])
-                for u in left:
-                    budget = max_len - len(u)
-                    for v in right:
-                        if len(v) <= budget:
-                            target.add(u + v)
-            if len(target) != before:
-                changed = True
-    return frozenset(words[gn.start])

@@ -3,7 +3,7 @@
 States are dense integers local to each automaton; every operation builds a
 fresh value, so automata can be shared freely. Labels are terminal names
 (arbitrary strings) or ``None`` for epsilon. Determinization only happens
-inside complement/difference/equivalent; everything else stays
+inside complement/difference; everything else stays
 nondeterministic.
 """
 
@@ -71,17 +71,6 @@ def word_automaton(word: Sequence[str], alphabet: Sequence[str] | None = None) -
     alpha = _merge_alphabets(word) if alphabet is None else _merge_alphabets(alphabet, word)
     transitions = frozenset((i, word[i], i + 1) for i in range(len(word)))
     return Nfa(len(word) + 1, alpha, transitions, 0, frozenset({len(word)}))
-
-
-def accepts(a: Nfa, word: Sequence[str]) -> bool:
-    a = eliminate_epsilon(a)
-    succ = _successors(a)
-    current = {a.initial}
-    for sym in word:
-        current = {r for q in current for r in succ[q].get(sym, ())}
-        if not current:
-            return False
-    return not current.isdisjoint(a.accepting)
 
 
 def eliminate_epsilon(a: Nfa) -> Nfa:
@@ -198,8 +187,18 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
         qa, qb = queue.popleft()
         src = numbering[(qa, qb)]
         for sym in alpha:
-            for ra in succ_a[qa].get(sym, ()):
-                for rb in succ_b[qb].get(sym, ()):
+            targets_a = succ_a[qa].get(sym)
+            targets_b = succ_b[qb].get(sym)
+            if not (targets_a and targets_b):
+                continue
+            # ints that collide in a set iterate in insertion order, which
+            # follows the PYTHONHASHSEED-dependent order of the transitions
+            if len(targets_a) > 1:
+                targets_a = sorted(targets_a)
+            if len(targets_b) > 1:
+                targets_b = sorted(targets_b)
+            for ra in targets_a:
+                for rb in targets_b:
                     pair = (ra, rb)
                     if pair not in numbering:
                         numbering[pair] = len(numbering)
@@ -303,37 +302,6 @@ def shortest_common_word(
             if reached:
                 queue.append(reached)
     return None
-
-
-def shortest_witness(a: Nfa) -> tuple[str, ...] | None:
-    """Minimum-length accepted word, lexicographically least per the
-    declared alphabet order; ``None`` iff the language is empty."""
-    return shortest_common_word([a], a.alphabet)
-
-
-def equivalent(a: Nfa, b: Nfa) -> bool:
-    """Language equality via emptiness of both difference directions."""
-    return is_empty(difference(a, b)) and is_empty(difference(b, a))
-
-
-def enumerate_accepted(a: Nfa, max_len: int) -> frozenset[tuple[str, ...]]:
-    """All accepted words of length at most ``max_len`` (test oracle helper)."""
-    a = eliminate_epsilon(a)
-    succ = _successors(a)
-    found: set[tuple[str, ...]] = set()
-
-    def walk(subset: frozenset[int], word: tuple[str, ...]) -> None:
-        if subset & a.accepting:
-            found.add(word)
-        if len(word) == max_len:
-            return
-        for sym in a.alphabet:
-            target = frozenset(r for q in subset for r in succ[q].get(sym, ()))
-            if target:
-                walk(target, word + (sym,))
-
-    walk(frozenset({a.initial}), ())
-    return frozenset(found)
 
 
 def to_dot(a: Nfa, name: str = "nfa") -> str:

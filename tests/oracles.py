@@ -6,6 +6,11 @@ starred subterm may be restricted to any subset of the contractions of its
 body. The full star-generalization family of a word enumerates every way of
 wrapping nested repetition around its substrings. Both sets are compared at
 bounded word length; nothing here is meant to scale.
+
+The module also holds the brute-force word-level predicates the tests
+compare the library with: automaton acceptance and bounded enumeration by
+subset simulation, language equivalence, and bounded enumeration of a
+grammar's words.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable
 
-from cflsep.grammar import GrammarError
-from cflsep.nfa import Nfa, enumerate_accepted
+from cflsep.grammar import Cfg, GrammarError, normalize
+from cflsep.nfa import Nfa, difference, is_empty
 
 
 @dataclass(frozen=True)
@@ -132,10 +137,35 @@ _LANGUAGES: dict[frozenset, frozenset] = {}
 
 @lru_cache(maxsize=None)
 def bounded_language(e: Regex, max_len: int) -> frozenset[tuple[str, ...]]:
-    # memoized, since the oracle properties ask for the same expression's
-    # words many times; equal languages share one frozenset, because tens of
-    # thousands of expressions have only a few thousand languages
-    lang = enumerate_accepted(regex_to_nfa(e), max_len)
+    """The words of ``L(e)`` of length at most ``max_len``, read off the tree.
+
+    Memoized per subterm, since the oracle properties ask for the same
+    expressions' words many times; equal languages share one frozenset,
+    because tens of thousands of expressions have only a few thousand
+    languages.
+    """
+    if e.op == "eps":
+        lang = {()}
+    elif e.op == "lit":
+        lang = {(e.sym,)} if max_len >= 1 else set()
+    elif e.op == "alt":
+        lang = set().union(*(bounded_language(p, max_len) for p in e.parts))
+    elif e.op == "cat":
+        lang = {()}
+        for part in e.parts:
+            words = bounded_language(part, max_len)
+            lang = {u + v for u in lang for v in words if len(u) + len(v) <= max_len}
+    else:
+        # star, by length: a word of length n is a nonempty body word u
+        # followed by a starred word of length n - |u|
+        body = [u for u in bounded_language(e.parts[0], max_len) if u]
+        by_len: list[set[tuple[str, ...]]] = [{()}]
+        for n in range(1, max_len + 1):
+            by_len.append(
+                {u + v for u in body if len(u) <= n for v in by_len[n - len(u)]}
+            )
+        lang = set().union(*by_len)
+    lang = frozenset(lang)
     return _LANGUAGES.setdefault(lang, lang)
 
 
@@ -221,3 +251,103 @@ def contraction_matches_generalization(
         if bounded_language(x, length_bound) in contraction_langs:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Word-level predicates on automata and grammars
+# ---------------------------------------------------------------------------
+
+
+def _out_edges(a: Nfa) -> list[list[tuple[str | None, int]]]:
+    out: list[list[tuple[str | None, int]]] = [[] for _ in a.states]
+    for q, x, r in a.transitions:
+        out[q].append((x, r))
+    return out
+
+
+def _closure(out: list[list[tuple[str | None, int]]], states: Iterable[int]) -> frozenset[int]:
+    seen = set(states)
+    stack = list(seen)
+    while stack:
+        for x, r in out[stack.pop()]:
+            if x is None and r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return frozenset(seen)
+
+
+def _step(
+    out: list[list[tuple[str | None, int]]], states: frozenset[int], sym: str
+) -> frozenset[int]:
+    return _closure(out, {r for q in states for x, r in out[q] if x == sym})
+
+
+def accepts(a: Nfa, word: Iterable[str]) -> bool:
+    """``word`` is in ``L(a)``, by subset simulation."""
+    out = _out_edges(a)
+    current = _closure(out, {a.initial})
+    for sym in word:
+        current = _step(out, current, sym)
+    return not current.isdisjoint(a.accepting)
+
+
+def enumerate_accepted(a: Nfa, max_len: int) -> frozenset[tuple[str, ...]]:
+    """All accepted words of length at most ``max_len``."""
+    out = _out_edges(a)
+    found: set[tuple[str, ...]] = set()
+    frontier = [((), _closure(out, {a.initial}))]
+    while frontier:
+        longer = []
+        for word, states in frontier:
+            if not states.isdisjoint(a.accepting):
+                found.add(word)
+            if len(word) < max_len:
+                for sym in a.alphabet:
+                    target = _step(out, states, sym)
+                    if target:
+                        longer.append((word + (sym,), target))
+        frontier = longer
+    return frozenset(found)
+
+
+def equivalent(a: Nfa, b: Nfa) -> bool:
+    """Language equality via emptiness of both difference directions."""
+    return is_empty(difference(a, b)) and is_empty(difference(b, a))
+
+
+def enumerate_words(g: Cfg, max_len: int) -> frozenset[tuple[str, ...]]:
+    """Exactly the words of ``L(g)`` whose length is at most ``max_len``.
+
+    Bottom-up fixpoint over the normal form; terminates because each
+    nonterminal's word set is bounded by the finite set of short words.
+    """
+    if max_len < 0:
+        raise GrammarError("max_len must be nonnegative")
+    gn = normalize(g)
+    words: dict[str, set[tuple[str, ...]]] = {v: set() for v in gn.variables}
+    changed = True
+    while changed:
+        changed = False
+        for p in gn.productions:
+            target = words[p.lhs]
+            before = len(target)
+            rhs = p.rhs
+            if len(rhs) == 0:
+                target.add(())
+            elif len(rhs) == 1 and rhs[0].terminal:
+                if max_len >= 1:
+                    target.add((rhs[0].name,))
+            elif len(rhs) == 1:
+                target |= words[rhs[0].name]
+            else:
+                # snapshot: rhs sets may alias the target (e.g. S -> S S)
+                left = tuple(words[rhs[0].name])
+                right = tuple(words[rhs[1].name])
+                for u in left:
+                    budget = max_len - len(u)
+                    for v in right:
+                        if len(v) <= budget:
+                            target.add(u + v)
+            if len(target) != before:
+                changed = True
+    return frozenset(words[gn.start])

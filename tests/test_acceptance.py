@@ -7,15 +7,8 @@ import time
 import cflsep.refinement as refinement_module
 from cflsep.approximation import nederhof, sigma_star
 from cflsep.engine import Config, Overlap, Separable, check_disjoint
-from cflsep.grammar import enumerate_words, normalize
-from cflsep.nfa import (
-    accepts,
-    difference,
-    enumerate_accepted,
-    equivalent,
-    is_empty,
-    word_automaton,
-)
+from cflsep.grammar import normalize
+from cflsep.nfa import difference, is_empty, word_automaton
 from cflsep.prestar import PrestarSession, in_language, intersects, prestar
 from cflsep.refinement import (
     eps_generalize,
@@ -26,9 +19,13 @@ from cflsep.refinement import (
 )
 
 from oracles import (
+    accepts,
     bounded_language,
     cat,
     contraction_matches_generalization,
+    enumerate_accepted,
+    enumerate_words,
+    equivalent,
     lit,
     regex_to_nfa,
     star,

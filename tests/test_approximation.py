@@ -10,10 +10,18 @@ from cflsep.approximation import (
     strongly_regular,
 )
 import cflsep.grammar as grammar_mod
-from cflsep.grammar import enumerate_words, sccs
-from cflsep.nfa import accepts, enumerate_accepted, equivalent
 
-from oracles import bounded_language, cat, lit, regex_to_nfa, star
+from oracles import (
+    accepts,
+    bounded_language,
+    cat,
+    enumerate_accepted,
+    enumerate_words,
+    equivalent,
+    lit,
+    regex_to_nfa,
+    star,
+)
 from support import DEEP_CHAIN, LONG_RULE, grammar, random_cfg, words_upto
 
 ANCBN = grammar('grammar G { start A; A -> "a" B "b" | "c"; B -> A; }')
@@ -65,20 +73,20 @@ def test_strongly_regular_bounded_idempotent():
 
 def test_make_fa_exact_on_matched_pair_grammar():
     reg = strongly_regular(ANCBN)
-    auto = make_fa(reg, sccs(reg))
+    auto = make_fa(reg)
     assert equivalent(auto, A_STAR_C_B_STAR)
 
 
 def test_make_fa_single_terminal():
     g = grammar('grammar G { start S; S -> "a"; }')
-    auto = make_fa(g, sccs(g))
+    auto = make_fa(g)
     assert auto.num_states == 2
     assert enumerate_accepted(auto, 3) == frozenset({("a",)})
 
 
 def test_make_fa_self_loop():
     g = grammar('grammar G { start A; A -> "a" A | ; }')
-    auto = make_fa(g, sccs(g))
+    auto = make_fa(g)
     assert enumerate_accepted(auto, 4) == frozenset(
         {(), ("a",), ("a",) * 2, ("a",) * 3, ("a",) * 4}
     )
@@ -87,12 +95,15 @@ def test_make_fa_self_loop():
 def test_make_fa_rejects_non_strongly_regular():
     pal = grammar('grammar P { start A; A -> "a" A "a" | ; }')
     with pytest.raises(ApproximationError):
-        make_fa(pal, sccs(pal))
+        make_fa(pal)
+    # only the blocks that the start symbol reaches are compiled
+    unreachable = grammar('grammar Q { start S; S -> "b"; A -> "a" A "a" | ; }')
+    assert enumerate_accepted(make_fa(unreachable), 3) == frozenset({("b",)})
 
 
 def test_make_fa_exact_on_right_linear():
     g = grammar('grammar G { start S; S -> "a" S | "b" T | ; T -> "b" T | "a"; }')
-    auto = make_fa(g, sccs(g))
+    auto = make_fa(g)
     assert enumerate_accepted(auto, 7) == enumerate_words(g, 7)
 
 
@@ -111,7 +122,7 @@ def test_make_fa_exact_on_random_right_linear():
                     body = body + (grammar_mod.nt(rng.choice(names)),)
                 prods.append(grammar_mod.Production(v, body))
         g = grammar_mod.Cfg(names, ("a", "b"), tuple(prods), "S")
-        auto = make_fa(g, sccs(g))
+        auto = make_fa(g)
         assert enumerate_accepted(auto, 7) == enumerate_words(g, 7)
 
 

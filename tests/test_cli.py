@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,10 +22,11 @@ from cflsep.cli import (
     main,
 )
 from cflsep.engine import Overlap, Separable
-from cflsep.grammar import Cfg, Production, enumerate_words, nt, t
+from cflsep.grammar import Cfg, Production, nt, t
 from cflsep.grammar_io import ParseError, parse_file, parse_named, render
 from cflsep.nfa import Nfa, difference, word_automaton
 
+from oracles import enumerate_words
 from support import DEEP_CHAIN, FIXTURES, LONG_RULE, NAME_CLASH, grammar, random_cfg
 
 
@@ -223,6 +227,24 @@ def test_main_dump_approx(tmp_path, capsys):
     assert "C4-iter0.dot" in dots
     body = (tmp_path / dots[0]).read_text()
     assert body.startswith("digraph")
+
+
+def test_main_dump_approx_is_independent_of_hash_seed(tmp_path):
+    # c5c8's nederhof approximations are products; their state numbers must
+    # not follow the iteration order of hash-seeded successor sets
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    dumps = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "cflsep.cli", fixture("c5c8.cfg"), "--dump-approx", str(out)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert run.returncode == EXIT_OVERLAP
+        dumps.append({p.name: p.read_text() for p in sorted(out.glob("*.dot"))})
+    assert dumps[0] == dumps[1]
+    assert "C8-iter2.dot" in dumps[0]
 
 
 def test_main_validate_passes_on_separable(capsys):

@@ -1,8 +1,10 @@
+import functools
 import random
 import time
 
 import pytest
 
+import cflsep.engine as engine
 from cflsep.engine import (
     Config,
     Overlap,
@@ -12,10 +14,12 @@ from cflsep.engine import (
     check_disjoint,
     classify_witness,
 )
-from cflsep.grammar import GrammarError, enumerate_words
-from cflsep.nfa import accepts, difference, is_empty
+from cflsep.grammar import GrammarError
+from cflsep.nfa import difference, is_empty
 from cflsep.prestar import in_language
+from cflsep.refinement import max_star_generalize
 
+from oracles import accepts, enumerate_words
 from support import AIBI1, PALINDROME, grammar, load_fixture, random_cfg
 
 C3 = grammar('grammar C3 { start S; S -> "a" S "a" | "a" "c" "a"; }')
@@ -86,12 +90,12 @@ def test_iteration_cap_yields_unknown():
         assert verdict.reason == "iterations"
 
 
-def test_budget_exhaustion_yields_unknown():
+def test_budget_exhaustion_yields_unknown(monkeypatch):
     c2 = grammar('grammar C2 { start S; S -> "a" S "a" | "b" S "b" | "c"; }')
-    verdict = check_disjoint(
-        [c2, C4],
-        Config(abstraction="sigma-star", strategy="max-star", maxgen_budget=2),
+    monkeypatch.setattr(
+        engine, "max_star_generalize", functools.partial(max_star_generalize, budget=2)
     )
+    verdict = check_disjoint([c2, C4], Config(abstraction="sigma-star", strategy="max-star"))
     assert isinstance(verdict, Unknown)
     assert verdict.reason == "budget"
 

@@ -8,7 +8,6 @@ from cflsep.grammar import (
     Cfg,
     GrammarError,
     Production,
-    enumerate_words,
     is_normal_form,
     normalize,
     nt,
@@ -16,6 +15,7 @@ from cflsep.grammar import (
 )
 from cflsep.prestar import in_language
 
+from oracles import enumerate_words
 from support import AIBI1, PALINDROME, grammar, random_cfg, words_upto
 
 ANCBN = grammar('grammar G { start A; A -> "a" B "b" | "c"; B -> A; }')

@@ -6,23 +6,19 @@ from hypothesis import strategies as st
 
 from cflsep.nfa import (
     Nfa,
-    accepts,
     complement,
     difference,
     eliminate_epsilon,
-    enumerate_accepted,
-    equivalent,
     intersect,
     is_empty,
     shortest_common_word,
-    shortest_witness,
     to_dot,
     trim,
     union,
     word_automaton,
 )
 
-from oracles import cat, lit, regex_to_nfa, star
+from oracles import accepts, cat, enumerate_accepted, equivalent, lit, regex_to_nfa, star
 from support import hand_nfa, random_nfa, words_upto
 
 SIGMA_STAR = hand_nfa(1, ("a", "b"), {(0, "a", 0), (0, "b", 0)}, 0, {0})
@@ -125,33 +121,34 @@ def test_difference_with_self_is_empty():
 def test_difference_sigma_star_minus_epsilon():
     eps_only = word_automaton(())
     rest = difference(SIGMA_STAR, eps_only)
-    w = shortest_witness(rest)
+    w = shortest_common_word([rest], rest.alphabet)
     assert w == ("a",)
     assert not accepts(rest, ())
 
 
 def test_shortest_witness_of_sigma_star_product():
-    assert shortest_witness(intersect(SIGMA_STAR, SIGMA_STAR)) == ()
+    both = intersect(SIGMA_STAR, SIGMA_STAR)
+    assert shortest_common_word([both], both.alphabet) == ()
 
 
 def test_shortest_witness_empty_language():
     dead = hand_nfa(1, ("a",), set(), 0, set())
-    assert shortest_witness(dead) is None
+    assert shortest_common_word([dead], dead.alphabet) is None
 
 
 def test_shortest_witness_prefers_alphabet_order():
     # both length-1 words accepted; declared order a < b picks "a"
     both = hand_nfa(2, ("a", "b"), {(0, "a", 1), (0, "b", 1)}, 0, {1})
-    assert shortest_witness(both) == ("a",)
+    assert shortest_common_word([both], both.alphabet) == ("a",)
     flipped = hand_nfa(2, ("b", "a"), {(0, "a", 1), (0, "b", 1)}, 0, {1})
-    assert shortest_witness(flipped) == ("b",)
+    assert shortest_common_word([flipped], flipped.alphabet) == ("b",)
 
 
 def test_shortest_witness_minimality():
     rng = random.Random(99)
     for _ in range(60):
         a = random_nfa(rng)
-        w = shortest_witness(a)
+        w = shortest_common_word([a], a.alphabet)
         accepted = enumerate_accepted(a, 6)
         if w is None:
             assert accepted == frozenset()
@@ -165,7 +162,7 @@ def test_shortest_witness_minimality():
     fork = hand_nfa(
         4, ("a", "b"), {(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "a", 3)}, 0, {3}
     )
-    assert shortest_witness(fork) == ("a", "a")
+    assert shortest_common_word([fork], fork.alphabet) == ("a", "a")
     assert shortest_common_word([fork, fork], ("b", "a")) == ("a", "b")
     # the k-ary walk on denser automata, symbols ranked in reverse declaration order
     order = ("b", "a")

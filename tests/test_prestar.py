@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from cflsep.grammar import GrammarError, enumerate_words, normalize
+from cflsep.grammar import GrammarError, normalize
 from cflsep.grammar_io import parse_file
-from cflsep.nfa import enumerate_accepted, word_automaton
+from cflsep.nfa import word_automaton
 from cflsep.prestar import PrestarSession, _Saturator, in_language, intersects, prestar
 from cflsep.refinement import gen_language, StarGeneralization
 
+from oracles import accepts, enumerate_accepted, enumerate_words
 from support import AIBI1, NAME_CLASH, PALINDROME, grammar, hand_nfa, random_cfg, random_nfa
 
 ABBA = word_automaton(("a", "b", "b", "a"))
@@ -25,7 +26,6 @@ def test_prestar_accepts_sentential_forms():
     # nonterminals: anything that rewrites to the accepted word
     gn = normalize(PALINDROME)
     saturated = prestar(gn, ABBA)
-    from cflsep.nfa import accepts
 
     assert accepts(saturated, ("A",))
     assert accepts(saturated, ("a", "A", "a"))

@@ -9,15 +9,7 @@ import pytest
 
 import cflsep.refinement as refinement
 from cflsep.grammar import GrammarError
-from cflsep.nfa import (
-    Nfa,
-    accepts,
-    difference,
-    enumerate_accepted,
-    equivalent,
-    is_empty,
-    word_automaton,
-)
+from cflsep.nfa import Nfa, difference, is_empty, word_automaton
 from cflsep.prestar import PrestarSession, in_language, intersects
 from cflsep.refinement import (
     BudgetExceededError,
@@ -29,7 +21,7 @@ from cflsep.refinement import (
     star_generalize,
 )
 
-from oracles import cat, lit, regex_to_nfa, star
+from oracles import accepts, cat, enumerate_accepted, equivalent, lit, regex_to_nfa, star
 from support import (
     AIBI1,
     dfa_grammar,
