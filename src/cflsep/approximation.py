@@ -68,10 +68,12 @@ def strongly_regular(g: Cfg) -> Cfg:
     used = set(g.variables) | set(g.terminals)
     variables = list(g.variables)
     productions: list[Production] = []
+    prods_of: list[list[Production]] = [[] for _ in partition.blocks]
+    for p in g.productions:
+        prods_of[partition.index[p.lhs]].append(p)
 
-    for block in partition.blocks:
+    for block, block_prods in zip(partition.blocks, prods_of):
         members = set(block)
-        block_prods = [p for p in g.productions if p.lhs in members]
         if _block_kind(block, block_prods) is not None:
             productions.extend(block_prods)
             continue

@@ -113,6 +113,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not args.timeout >= 0:  # NaN compares false with every clock reading
+            raise _UsageError(f"--timeout must be a non-negative number, not {args.timeout}")
         named = _load_grammars(args.files)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,12 +65,11 @@ def _successors(a: Nfa) -> list[dict[str, set[int]]]:
     return succ
 
 
-def word_automaton(word: Sequence[str], alphabet: Sequence[str] | None = None) -> Nfa:
+def word_automaton(word: Sequence[str]) -> Nfa:
     """Chain automaton recognizing exactly ``word``: one transition per symbol."""
     word = tuple(word)
-    alpha = _merge_alphabets(word) if alphabet is None else _merge_alphabets(alphabet, word)
     transitions = frozenset((i, word[i], i + 1) for i in range(len(word)))
-    return Nfa(len(word) + 1, alpha, transitions, 0, frozenset({len(word)}))
+    return Nfa(len(word) + 1, _merge_alphabets(word), transitions, 0, frozenset({len(word)}))
 
 
 def eliminate_epsilon(a: Nfa) -> Nfa:

@@ -1,25 +1,27 @@
 """Saturation-based emptiness of L(G) ∩ L(A), and with it membership.
 
-A table of triples (state, symbol, state) is closed under the production
+A set of triples (state, symbol, state) is closed under the production
 rules of a grammar in normal form (A -> BC | a | B | ε): a triple
 (q, X, q') means some word taking the automaton from q to q' is derivable
-from X. Epsilon edges of the automaton live in the same table and compose
-with every other entry, so generalization edges added later need no
+from X. Epsilon edges of the automaton are triples too and compose with
+every other triple, so generalization edges added later need no
 re-elimination. The intersection is nonempty exactly when the start symbol
 spans an initial-to-accepting pair. Membership of a word is the same
 question on the word's chain automaton. Labels and nonterminal names share
-the table, so an automaton edge enters it only when labelled ε or by a
+one namespace, so an automaton edge enters only when labelled ε or by a
 terminal of the grammar: a foreign terminal derives nothing, even one
 spelled like a nonterminal.
 
-PrestarSession supports the incremental discipline: tentatively add one
-edge, re-saturate, and either commit or revert to the byte-identical
-previous table. Sessions are single-owner mutable values.
+Each triple is held once in each of three views: ``by_start``, ``by_end``
+and the ``journal`` in derivation order. The journal's unprocessed tail is
+the worklist, so PrestarSession can tentatively add one edge, re-saturate,
+and either commit or truncate the journal back to the byte-identical
+previous state. Sessions are single-owner mutable values.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from dataclasses import replace
 from typing import Sequence
 
 from .grammar import Cfg, GrammarError, is_normal_form, normalize
@@ -27,7 +29,14 @@ from .nfa import Nfa, eliminate_epsilon, trim, word_automaton
 
 
 class _Saturator:
-    """Worklist closure of the derivability table over a fixed state set."""
+    """Worklist closure of the derivability triples over a fixed state set.
+
+    Invariant: ``by_start[q][X]`` holds r, ``by_end[r][X]`` holds q and
+    ``journal`` lists (q, X, r), for exactly the same triples; ``by_start``
+    is the membership test. ``journal[done:]`` is the worklist, and at a
+    fixpoint ``done == len(journal)``. ``steps`` counts rule applications
+    (calls of ``add``), whether or not they find a new triple.
+    """
 
     def __init__(self, gn: Cfg, num_states: int) -> None:
         if not is_normal_form(gn):
@@ -51,15 +60,10 @@ class _Saturator:
                 self.bin_left.setdefault(b, []).append((p.lhs, c))
                 self.bin_right.setdefault(c, []).append((p.lhs, b))
 
-        self.table: set[tuple[int, str | None, int]] = set()
-        self.by_start: dict[int, dict[str | None, set[int]]] = {
-            q: {} for q in range(num_states)
-        }
-        self.by_end: dict[int, dict[str | None, set[int]]] = {
-            q: {} for q in range(num_states)
-        }
+        self.by_start: list[dict[str | None, set[int]]] = [{} for _ in range(num_states)]
+        self.by_end: list[dict[str | None, set[int]]] = [{} for _ in range(num_states)]
         self.journal: list[tuple[int, str | None, int]] = []
-        self.worklist: deque[tuple[int, str | None, int]] = deque()
+        self.done = 0
         self.steps = 0
 
     def seed(self, transitions: Sequence[tuple[int, str | None, int]]) -> None:
@@ -78,18 +82,25 @@ class _Saturator:
 
     def add(self, q: int, sym: str | None, r: int) -> None:
         self.steps += 1
-        triple = (q, sym, r)
-        if triple in self.table:
+        targets = self.by_start[q].get(sym)
+        if targets is None:
+            self.by_start[q][sym] = {r}
+        elif r in targets:
             return
-        self.table.add(triple)
-        self.by_start[q].setdefault(sym, set()).add(r)
-        self.by_end[r].setdefault(sym, set()).add(q)
-        self.journal.append(triple)
-        self.worklist.append(triple)
+        else:
+            targets.add(r)
+        sources = self.by_end[r].get(sym)
+        if sources is None:
+            self.by_end[r][sym] = {q}
+        else:
+            sources.add(q)
+        self.journal.append((q, sym, r))
 
     def saturate(self) -> None:
-        while self.worklist:
-            q, sym, r = self.worklist.popleft()
+        journal, i = self.journal, self.done
+        while i < len(journal):
+            q, sym, r = journal[i]
+            i += 1
             if sym is None:
                 # epsilon composes with everything on either side
                 for sym2, targets in list(self.by_start[r].items()):
@@ -113,18 +124,18 @@ class _Saturator:
                 self.add(q, sym, r2)
             for q0 in list(self.by_end[q].get(None, ())):
                 self.add(q0, sym, r)
+        self.done = i
 
     def mark(self) -> int:
-        assert not self.worklist, "mark only valid at a fixpoint"
-        return len(self.journal)
+        assert self.done == len(self.journal), "mark only valid at a fixpoint"
+        return self.done
 
     def revert(self, mark: int) -> None:
         while len(self.journal) > mark:
             q, sym, r = self.journal.pop()
-            self.table.discard((q, sym, r))
             self.by_start[q][sym].discard(r)
             self.by_end[r][sym].discard(q)
-        self.worklist.clear()
+        self.done = mark
 
     def spans(self, initial: int, accepting: frozenset[int], start: str) -> bool:
         targets = self.by_start[initial].get(start)
@@ -145,7 +156,8 @@ def prestar(g: Cfg, a: Nfa) -> Nfa:
     sat.seed(tuple(a.transitions))
     sat.saturate()
     alphabet = a.alphabet + tuple(v for v in g.variables if v not in set(a.alphabet))
-    return Nfa(a.num_states, alphabet, a.transitions | sat.table, a.initial, a.accepting)
+    transitions = a.transitions | frozenset(sat.journal)
+    return Nfa(a.num_states, alphabet, transitions, a.initial, a.accepting)
 
 
 def intersects(g: Cfg, a: Nfa) -> bool:
@@ -166,29 +178,21 @@ def in_language(g: Cfg, word: Sequence[str]) -> bool:
     return intersects(g, word_automaton(word))
 
 
-def _chain_word(a: Nfa) -> tuple[str, ...]:
-    step = {q: x for q, x, r in a.transitions if r == q + 1}
-    word = tuple(step.get(q) for q in range(a.num_states - 1))
-    if None in word or word_automaton(word, a.alphabet) != a:
-        raise GrammarError("session base must be a single-word chain automaton")
-    return word
-
-
 class PrestarSession:
     """Incremental intersection-emptiness over a growing word automaton.
 
-    The base automaton is the chain for one word; edges added through
+    The base automaton is the chain for ``word``; edges added through
     ``try_add`` must have the two generalization shapes: a forward epsilon
     edge (i, ε, j) with i < j, or a backward edge (j-1, w_j, i) with i < j
     that replays the chain's own label. A tentative edge is committed only
     if the start symbol still does not span initial to accepting; otherwise
-    the table and the edge are rolled back exactly.
+    the triples and the edge are rolled back exactly.
     """
 
-    def __init__(self, grammar: Cfg, base: Nfa) -> None:
-        self.word = _chain_word(base)
+    def __init__(self, grammar: Cfg, word: Sequence[str]) -> None:
+        self.word = tuple(word)
         self.grammar = normalize(grammar)
-        self.base = base
+        self.base = base = word_automaton(self.word)
         self.edges: list[tuple[int, str | None, int]] = []
         self._sat = _Saturator(self.grammar, base.num_states)
         self._sat.seed(tuple(base.transitions))
@@ -207,8 +211,8 @@ class PrestarSession:
         return (self._sat.mark(), len(self.edges))
 
     def rollback(self, token: tuple[int, int]) -> None:
-        table_mark, edge_mark = token
-        self._sat.revert(table_mark)
+        mark, edge_mark = token
+        self._sat.revert(mark)
         del self.edges[edge_mark:]
 
     def _validate(self, edge: tuple[int, str | None, int]) -> None:
@@ -243,11 +247,4 @@ class PrestarSession:
 
     def automaton(self) -> Nfa:
         """Base chain plus every committed edge."""
-        alpha = self.base.alphabet
-        return Nfa(
-            self.base.num_states,
-            alpha,
-            self.base.transitions | frozenset(self.edges),
-            self.base.initial,
-            self.base.accepting,
-        )
+        return replace(self.base, transitions=self.base.transitions | frozenset(self.edges))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 from .grammar import Cfg, GrammarError, normalize
-from .nfa import Nfa, union, word_automaton
+from .nfa import Nfa, union
 from .prestar import PrestarSession, in_language, intersects
 
 DEFAULT_BUDGET = 10**6
@@ -121,8 +121,8 @@ def _outside(g: Cfg, w: Sequence[str]) -> tuple[str, ...]:
     return w
 
 
-def _eps_session(g: Cfg, base: Nfa) -> PrestarSession:
-    session = PrestarSession(g, base)
+def _eps_session(g: Cfg, w: Sequence[str]) -> PrestarSession:
+    session = PrestarSession(g, w)
     if session.intersects():  # the base saturation decides membership
         raise GrammarError("witness is in the language; it cannot be generalized")
     return session
@@ -221,9 +221,8 @@ def eps_generalize(w: Sequence[str], g: Cfg) -> Nfa:
     """Greedy maximal epsilon generalization of ``w`` against ``L(g)``: forward
     epsilon edges (shortest span first), then backward edges, each kept when
     the saturation session shows L(g) still excluded."""
-    w = tuple(w)
-    session = _eps_session(g, word_automaton(w))
-    next(_walk(session, _eps_candidates(w)))  # the session now holds the first leaf
+    session = _eps_session(g, w)
+    next(_walk(session, _eps_candidates(session.word)))  # the session now holds the first leaf
     return session.automaton()
 
 
@@ -240,10 +239,10 @@ def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) 
 
 def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
     """Union of every valid epsilon generalization of ``w`` against ``L(g)``."""
-    w = tuple(w)
-    base = word_automaton(w)
-    candidates = _eps_candidates(w)
-    leaves = _walk(_eps_session(g, base), candidates, budget)
+    session = _eps_session(g, w)
+    base = session.base
+    candidates = _eps_candidates(session.word)
+    leaves = _walk(session, candidates, budget)
     return _union_of_maxima(
         leaves, candidates, lambda e: replace(base, transitions=base.transitions | e)
     )

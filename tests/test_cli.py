@@ -219,6 +219,13 @@ def test_main_timeout(capsys):
     assert "VERDICT: UNKNOWN reason=timeout" in out
 
 
+@pytest.mark.parametrize("seconds", ["nan", "-1", "-inf"])
+def test_main_rejects_timeout_that_is_no_bound(seconds, capsys):
+    # NaN compares false with every clock reading, so it would remove the bound
+    assert main([fixture("c2c3.cfg"), "--timeout", seconds]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_main_dump_approx(tmp_path, capsys):
     code = main([fixture("c2c4.cfg"), "--dump-approx", str(tmp_path)])
     assert code == EXIT_SEPARABLE

@@ -14,6 +14,14 @@ from support import AIBI1, NAME_CLASH, PALINDROME, grammar, hand_nfa, random_cfg
 ABBA = word_automaton(("a", "b", "b", "a"))
 
 
+def _views(sat):
+    """The saturator's triples as read off its journal, by_start and by_end."""
+    from_start = {(q, x, r) for q, row in enumerate(sat.by_start) for x, rs in row.items() for r in rs}
+    from_end = {(q, x, r) for r, row in enumerate(sat.by_end) for x, qs in row.items() for q in qs}
+    assert len(set(sat.journal)) == len(sat.journal)  # each triple journaled once
+    return set(sat.journal), from_start, from_end
+
+
 def test_prestar_palindrome_start_spans():
     gn = normalize(PALINDROME)
     saturated = prestar(gn, ABBA)
@@ -87,11 +95,14 @@ def test_saturation_is_monotone_and_terminates():
         sat = _Saturator(g, a.num_states)
         sat.seed(tuple(a.transitions))
         sat.saturate()
-        table = set(sat.table)
+        journal = list(sat.journal)
+        triples, from_start, from_end = _views(sat)
+        assert triples == from_start == from_end
         symbols = set(g.variables) | set(g.terminals)
-        assert len(table) <= a.num_states * a.num_states * (len(symbols) + 1)
+        assert len(triples) <= a.num_states * a.num_states * (len(symbols) + 1)
         sat.saturate()  # fixpoint: nothing more to do
-        assert set(sat.table) == table
+        assert sat.journal == journal
+        assert _views(sat) == (triples, triples, triples)
 
 
 def test_saturation_step_ceiling():
@@ -111,24 +122,27 @@ def test_saturation_step_ceiling():
 
 
 def test_session_rejects_fig4_backward_edge():
-    session = PrestarSession(AIBI1, word_automaton(("a", "a", "b")))
+    session = PrestarSession(AIBI1, ("a", "a", "b"))
     for edge in [(0, None, 1), (2, None, 3), (1, None, 3), (0, None, 3)]:
         assert session.try_add(edge)
     assert not session.try_add((2, "b", 2))
 
 
 def test_session_accepts_forward_epsilon():
-    session = PrestarSession(AIBI1, word_automaton(("a", "a", "b")))
+    session = PrestarSession(AIBI1, ("a", "a", "b"))
     assert session.try_add((0, None, 3))  # the empty word is not in L
 
 
 def test_session_revert_is_exact():
-    session = PrestarSession(AIBI1, word_automaton(("a", "a", "b")))
+    session = PrestarSession(AIBI1, ("a", "a", "b"))
     assert session.try_add((0, None, 1))
-    table_before = set(session._sat.table)
+    journal_before = list(session._sat.journal)
+    views_before = _views(session._sat)
     edges_before = list(session.edges)
     assert not session.try_add((1, None, 2))  # would accept "b" (in L)
-    assert set(session._sat.table) == table_before
+    assert session._sat.journal == journal_before
+    assert session._sat.done == len(journal_before)
+    assert _views(session._sat) == views_before
     assert list(session.edges) == edges_before
 
 
@@ -139,28 +153,29 @@ def test_session_matches_fresh_prestar_after_rejections():
         g = random_cfg(rng)
         if in_language(g, word):
             continue
-        session = PrestarSession(g, word_automaton(word))
+        session = PrestarSession(g, word)
         edges = [(0, None, 1), (1, None, 2), (0, None, 3), (1, "a", 0), (2, "b", 1)]
         for e in edges:
             session.try_add(e)
-        # differential check: the incremental result equals a fresh run
+        # differential check: the incremental result equals a fresh run,
+        # triple for triple, and all three views hold the same triples
         assert session.intersects() == intersects(g, session.automaton())
+        a = session.automaton()
+        fresh = _Saturator(session.grammar, a.num_states)
+        fresh.seed(tuple(a.transitions))
+        fresh.saturate()
+        triples, from_start, from_end = _views(session._sat)
+        assert triples == from_start == from_end == set(fresh.journal)
 
 
 def test_session_validates_edge_shapes():
-    session = PrestarSession(AIBI1, word_automaton(("a", "a", "b")))
+    session = PrestarSession(AIBI1, ("a", "a", "b"))
     with pytest.raises(GrammarError):
         session.try_add((2, None, 1))  # epsilon must go forward
     with pytest.raises(GrammarError):
         session.try_add((2, "a", 1))  # wrong label: chain reads b at 2
     with pytest.raises(GrammarError):
         session.try_add((0, "a", 2))  # labeled edge must go backward
-
-
-def test_session_requires_chain_base():
-    loops = hand_nfa(2, ("a",), {(0, "a", 1), (1, "a", 0)}, 0, {1})
-    with pytest.raises(GrammarError):
-        PrestarSession(AIBI1, loops)
 
 
 def test_intersects_agrees_with_brute_force():
