@@ -10,6 +10,7 @@ it with lives in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class GrammarError(ValueError):
@@ -77,6 +78,13 @@ class Cfg:
                 pool = tset if sym.terminal else vset
                 if sym.name not in pool:
                     raise GrammarError(f"undeclared symbol {sym!r} in {prod!r}")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.variables, self.terminals, self.productions, self.start))
+
+    def __hash__(self) -> int:  # hashed once: grammar values key prestar's rule index
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -12,67 +12,90 @@ one namespace, so an automaton edge enters only when labelled ε or by a
 terminal of the grammar: a foreign terminal derives nothing, even one
 spelled like a nonterminal.
 
-Each triple is held once in each of three views: ``by_start``, ``by_end``
-and the ``journal`` in derivation order. The journal's unprocessed tail is
-the worklist, so PrestarSession can tentatively add one edge, re-saturate,
-and either commit or truncate the journal back to the byte-identical
-previous state. Sessions are single-owner mutable values.
+Each triple is held once in each of three views: bit r of ``by_start[q][X]``
+and bit q of ``by_end[r][X]``, both Python-int masks (sets of states on
+automata of more than ``_MASK_STATES`` states), and the ``journal`` in
+derivation order. A rule joins a new triple to all its partners by one
+AND-NOT of two mask rows, so only triples not yet held reach the journal,
+whose unprocessed tail is the worklist. Saturation can stop at a goal, the
+start symbol spanning initial to accepting, which stays met once met. So
+PrestarSession can add one edge, saturate up to the goal, and commit or
+truncate the journal back. A grammar's rule index is built once per ``Cfg``
+value and shared read-only. Sessions are single-owner mutable values.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import replace
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
-from .grammar import Cfg, GrammarError, is_normal_form, normalize
+from .grammar import Cfg, GrammarError, normalize
 from .nfa import Nfa, eliminate_epsilon, trim, word_automaton
+
+
+@lru_cache(maxsize=64)
+def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], list[str], dict[str, tuple[list, list, list]]]:
+    """``normalize(g)``, its terminals, its ε-rule heads and its rule index
+    ``of``, built once per grammar value: ``of[X]`` holds the A with A -> X,
+    the (A, C) with A -> XC and the (A, B) with A -> BX."""
+    gn = normalize(g)
+    of: dict[str, tuple[list, list, list]] = {}
+    for p in gn.productions:
+        names = [x.name for x in p.rhs]
+        if len(names) == 1:
+            of.setdefault(names[0], ([], [], []))[0].append(p.lhs)
+        elif names:
+            of.setdefault(names[0], ([], [], []))[1].append((p.lhs, names[1]))
+            of.setdefault(names[1], ([], [], []))[2].append((p.lhs, names[0]))
+    return gn, frozenset(gn.terminals), [p.lhs for p in gn.productions if not p.rhs], of
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        i = mask.bit_length() - 1
+        yield i
+        mask ^= 1 << i
+
+
+# Up to this many states a mask is no larger than an empty set. Beyond it the
+# rows are sets of states: masks there took memory quadratic in the states
+# (2.6 GB against 0.36 GB for sets on a 32,770-state complement DFA).
+_MASK_STATES = 1024
 
 
 class _Saturator:
     """Worklist closure of the derivability triples over a fixed state set.
 
-    Invariant: ``by_start[q][X]`` holds r, ``by_end[r][X]`` holds q and
-    ``journal`` lists (q, X, r), for exactly the same triples; ``by_start``
-    is the membership test. ``journal[done:]`` is the worklist, and at a
-    fixpoint ``done == len(journal)``. ``steps`` counts rule applications
-    (calls of ``add``), whether or not they find a new triple.
+    Invariant: bit r of ``by_start[q][X]``, bit q of ``by_end[r][X]`` (members
+    r and q when the rows are sets) and the ``journal`` entry (q, X, r) are
+    there for exactly the same triples. ``journal[done:]`` is the worklist,
+    and at a fixpoint ``done == len(journal)``. ``steps`` counts one per
+    processed journal entry plus one per call of ``add`` (a seed, an automaton
+    edge or a unit rule), whether or not it finds a new triple; mask
+    compositions are not counted apart.
     """
 
-    def __init__(self, gn: Cfg, num_states: int) -> None:
-        if not is_normal_form(gn):
+    def __init__(self, gn: Cfg, a: Nfa) -> None:
+        normal, self.terminals, eps_lhs, self.rules = _rules(gn)
+        if normal != gn:
             raise GrammarError("saturation requires a grammar in normal form")
-        self.num_states = num_states
-        self.terminals = frozenset(gn.terminals)
-        self.eps_lhs: list[str] = []
-        self.term_rules: dict[str, list[str]] = {}
-        self.unit_rules: dict[str, list[str]] = {}
-        self.bin_left: dict[str, list[tuple[str, str]]] = {}
-        self.bin_right: dict[str, list[tuple[str, str]]] = {}
-        for p in gn.productions:
-            if len(p.rhs) == 0:
-                self.eps_lhs.append(p.lhs)
-            elif len(p.rhs) == 1 and p.rhs[0].terminal:
-                self.term_rules.setdefault(p.rhs[0].name, []).append(p.lhs)
-            elif len(p.rhs) == 1:
-                self.unit_rules.setdefault(p.rhs[0].name, []).append(p.lhs)
-            else:
-                b, c = p.rhs[0].name, p.rhs[1].name
-                self.bin_left.setdefault(b, []).append((p.lhs, c))
-                self.bin_right.setdefault(c, []).append((p.lhs, b))
-
-        self.by_start: list[dict[str | None, set[int]]] = [{} for _ in range(num_states)]
-        self.by_end: list[dict[str | None, set[int]]] = [{} for _ in range(num_states)]
+        if a.num_states <= _MASK_STATES:
+            kind, self.empty, self.one, self.members = int, 0, (1).__lshift__, _bits
+            accepting = sum(1 << q for q in a.accepting)
+        else:
+            kind, self.empty, self.one, self.members = set, frozenset(), lambda q: {q}, iter
+            accepting = frozenset(a.accepting)
+        self.goal = (gn.start, a.initial, accepting)
+        self.by_start: list[dict[str | None, int | set[int]]] = [defaultdict(kind) for _ in a.states]
+        self.by_end: list[dict[str | None, int | set[int]]] = [defaultdict(kind) for _ in a.states]
         self.journal: list[tuple[int, str | None, int]] = []
-        self.done = 0
-        self.steps = 0
-
-    def seed(self, transitions: Sequence[tuple[int, str | None, int]]) -> None:
-        for q in range(self.num_states):
-            for lhs in self.eps_lhs:
+        self.done = self.steps = 0
+        for q in a.states:
+            for lhs in eps_lhs:
                 self.add(q, lhs, q)
-        for q, x, r in sorted(
-            transitions, key=lambda tr: (tr[0], tr[1] or "", tr[2])
-        ):
+        for q, x, r in sorted(a.transitions, key=lambda tr: (tr[0], tr[1] or "", tr[2])):
             self.add_edge(q, x, r)
 
     def add_edge(self, q: int, x: str | None, r: int) -> None:
@@ -82,64 +105,83 @@ class _Saturator:
 
     def add(self, q: int, sym: str | None, r: int) -> None:
         self.steps += 1
-        targets = self.by_start[q].get(sym)
-        if targets is None:
-            self.by_start[q][sym] = {r}
-        elif r in targets:
-            return
-        else:
-            targets.add(r)
-        sources = self.by_end[r].get(sym)
-        if sources is None:
-            self.by_end[r][sym] = {q}
-        else:
-            sources.add(q)
-        self.journal.append((q, sym, r))
+        bit = self.one(r)
+        if not bit & self.by_start[q].get(sym, self.empty):
+            self._ends(q, sym, bit)
 
-    def saturate(self) -> None:
-        journal, i = self.journal, self.done
-        while i < len(journal):
+    def _ends(self, q: int, sym: str | None, ends) -> None:
+        """Hold (q, sym, r) for each member r of ``ends``; none is held yet."""
+        self.by_start[q][sym] |= ends
+        bit = self.one(q)
+        for r in self.members(ends):
+            self.by_end[r][sym] |= bit
+            self.journal.append((q, sym, r))
+
+    def _starts(self, starts, sym: str | None, r: int) -> None:
+        """Hold (q, sym, r) for each member q of ``starts``; none is held yet."""
+        self.by_end[r][sym] |= starts
+        bit = self.one(r)
+        for q in self.members(starts):
+            self.by_start[q][sym] |= bit
+            self.journal.append((q, sym, r))
+
+    def saturate(self, stop_at_goal: bool = False) -> bool:
+        """Process the worklist up to the fixpoint or, if ``stop_at_goal``, until
+        the start symbol spans initial to accepting; returns whether it does."""
+        by_start, by_end, journal, i = self.by_start, self.by_end, self.journal, self.done
+        of, none, add, ends, starts = self.rules, ((), (), ()), self.add, self._ends, self._starts
+        empty = self.empty
+        start, initial, accepting = self.goal
+        target = by_start[initial]
+        while i < len(journal) and not (stop_at_goal and target.get(start, empty) & accepting):
             q, sym, r = journal[i]
             i += 1
+            row_q, row_r, col_q, col_r = by_start[q], by_start[r], by_end[q], by_end[r]
             if sym is None:
-                # epsilon composes with everything on either side
-                for sym2, targets in list(self.by_start[r].items()):
-                    for r2 in list(targets):
-                        self.add(q, sym2, r2)
-                for sym2, sources in list(self.by_end[q].items()):
-                    for q0 in list(sources):
-                        self.add(q0, sym2, r)
+                # ε composes with every triple on either side; a row iterated
+                # here changes only when q == r, where nothing is new
+                for sym2, mask in row_r.items():
+                    new = mask - (mask & row_q.get(sym2, empty))
+                    if new:
+                        ends(q, sym2, new)
+                for sym2, mask in col_q.items():
+                    new = mask - (mask & col_r.get(sym2, empty))
+                    if new:
+                        starts(new, sym2, r)
                 continue
-            for lhs in self.term_rules.get(sym, ()):
-                self.add(q, lhs, r)
-            for lhs in self.unit_rules.get(sym, ()):
-                self.add(q, lhs, r)
-            for lhs, c in self.bin_left.get(sym, ()):
-                for r2 in list(self.by_start[r].get(c, ())):
-                    self.add(q, lhs, r2)
-            for lhs, b in self.bin_right.get(sym, ()):
-                for q0 in list(self.by_end[q].get(b, ())):
-                    self.add(q0, lhs, r)
-            for r2 in list(self.by_start[r].get(None, ())):
-                self.add(q, sym, r2)
-            for q0 in list(self.by_end[q].get(None, ())):
-                self.add(q0, sym, r)
+            units, lefts, rights = of.get(sym, none)
+            for lhs in units:
+                add(q, lhs, r)
+            for lhs, c in lefts:
+                new = c in row_r and row_r[c] - (row_r[c] & row_q.get(lhs, empty))
+                if new:
+                    ends(q, lhs, new)
+            for lhs, b in rights:
+                new = b in col_q and col_q[b] - (col_q[b] & col_r.get(lhs, empty))
+                if new:
+                    starts(new, lhs, r)
+            new = None in row_r and row_r[None] - (row_r[None] & row_q[sym])
+            if new:
+                ends(q, sym, new)
+            new = None in col_q and col_q[None] - (col_q[None] & col_r[sym])
+            if new:
+                starts(new, sym, r)
+        self.steps += i - self.done
         self.done = i
+        return bool(target.get(start, empty) & accepting)
 
     def mark(self) -> int:
         assert self.done == len(self.journal), "mark only valid at a fixpoint"
         return self.done
 
     def revert(self, mark: int) -> None:
-        while len(self.journal) > mark:
-            q, sym, r = self.journal.pop()
-            self.by_start[q][sym].discard(r)
-            self.by_end[r][sym].discard(q)
+        """Drop the triples journaled from ``mark`` on; their rows may stay empty."""
+        by_start, by_end, one = self.by_start, self.by_end, self.one
+        for q, sym, r in self.journal[mark:]:
+            by_start[q][sym] ^= one(r)
+            by_end[r][sym] ^= one(q)
+        del self.journal[mark:]
         self.done = mark
-
-    def spans(self, initial: int, accepting: frozenset[int], start: str) -> bool:
-        targets = self.by_start[initial].get(start)
-        return bool(targets and targets & accepting)
 
 
 def prestar(g: Cfg, a: Nfa) -> Nfa:
@@ -150,10 +192,7 @@ def prestar(g: Cfg, a: Nfa) -> Nfa:
     nonterminals (a nonterminal-labeled transition (q, A, q') records that A
     derives some word read between q and q').
     """
-    if not is_normal_form(g):
-        raise GrammarError("prestar requires a grammar in normal form")
-    sat = _Saturator(g, a.num_states)
-    sat.seed(tuple(a.transitions))
+    sat = _Saturator(g, a)
     sat.saturate()
     alphabet = a.alphabet + tuple(v for v in g.variables if v not in set(a.alphabet))
     transitions = a.transitions | frozenset(sat.journal)
@@ -162,14 +201,11 @@ def prestar(g: Cfg, a: Nfa) -> Nfa:
 
 def intersects(g: Cfg, a: Nfa) -> bool:
     """True iff L(g) ∩ L(a) is nonempty. Accepts any grammar and automaton."""
-    gn = normalize(g)
+    gn = _rules(g)[0]
     compact = trim(eliminate_epsilon(a))
     if not compact.accepting:
         return False
-    sat = _Saturator(gn, compact.num_states)
-    sat.seed(tuple(compact.transitions))
-    sat.saturate()
-    return sat.spans(compact.initial, compact.accepting, gn.start)
+    return _Saturator(gn, compact).saturate(stop_at_goal=True)
 
 
 def in_language(g: Cfg, word: Sequence[str]) -> bool:
@@ -191,11 +227,10 @@ class PrestarSession:
 
     def __init__(self, grammar: Cfg, word: Sequence[str]) -> None:
         self.word = tuple(word)
-        self.grammar = normalize(grammar)
+        self.grammar = _rules(grammar)[0]
         self.base = base = word_automaton(self.word)
         self.edges: list[tuple[int, str | None, int]] = []
-        self._sat = _Saturator(self.grammar, base.num_states)
-        self._sat.seed(tuple(base.transitions))
+        self._sat = _Saturator(self.grammar, base)
         self._sat.saturate()
 
     @property
@@ -203,9 +238,7 @@ class PrestarSession:
         return self._sat.steps
 
     def intersects(self) -> bool:
-        return self._sat.spans(
-            self.base.initial, self.base.accepting, self.grammar.start
-        )
+        return self._sat.saturate()  # at a fixpoint: only the goal check
 
     def snapshot(self) -> tuple[int, int]:
         return (self._sat.mark(), len(self.edges))
@@ -238,8 +271,7 @@ class PrestarSession:
             return True
         token = self.snapshot()
         self._sat.add_edge(*edge)
-        self._sat.saturate()
-        if self.intersects():
+        if self._sat.saturate(stop_at_goal=True):
             self.rollback(token)
             return False
         self.edges.append(edge)

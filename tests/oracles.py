@@ -10,7 +10,8 @@ bounded word length; nothing here is meant to scale.
 The module also holds the brute-force word-level predicates the tests
 compare the library with: automaton acceptance and bounded enumeration by
 subset simulation, language equivalence, and bounded enumeration of a
-grammar's words.
+grammar's words; and a naive set-based pre* fixpoint that the saturation
+kernel is compared with triple for triple.
 """
 
 from __future__ import annotations
@@ -351,3 +352,29 @@ def enumerate_words(g: Cfg, max_len: int) -> frozenset[tuple[str, ...]]:
             if len(target) != before:
                 changed = True
     return frozenset(words[gn.start])
+
+
+def prestar_triples(gn: Cfg, a: Nfa) -> frozenset[tuple[int, str | None, int]]:
+    """The pre* triples of a normal-form grammar over ``a`` by a naive fixpoint.
+
+    (q, X, r) for X a nonterminal, a terminal of ``gn`` or ε (``None``): seeded
+    with (q, A, q) for A -> ε and the automaton's ε and ``gn``-terminal edges,
+    closed under A -> X, A -> XY and ε-triples composing on either side. Every
+    round joins every pair of triples, so it is cubic and only for tests.
+    """
+    units = [(p.lhs, p.rhs[0].name) for p in gn.productions if len(p.rhs) == 1]
+    pairs = [(p.lhs, p.rhs[0].name, p.rhs[1].name) for p in gn.productions if len(p.rhs) == 2]
+    triples = {(q, p.lhs, q) for q in a.states for p in gn.productions if not p.rhs}
+    triples |= {(q, x, r) for q, x, r in a.transitions if x is None or x in gn.terminals}
+    while True:
+        new = {(q, lhs, r) for q, x, r in triples for lhs, y in units if x == y}
+        for q, x, m in triples:
+            for m2, y, r in triples:
+                if m2 != m:
+                    continue
+                if x is None or y is None:
+                    new.add((q, y if x is None else x, r))
+                new |= {(q, lhs, r) for lhs, b, c in pairs if (b, c) == (x, y)}
+        if new <= triples:
+            return frozenset(triples)
+        triples |= new
