@@ -10,7 +10,6 @@ it with lives in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class GrammarError(ValueError):
@@ -79,12 +78,13 @@ class Cfg:
                 if sym.name not in pool:
                     raise GrammarError(f"undeclared symbol {sym!r} in {prod!r}")
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.variables, self.terminals, self.productions, self.start))
-
     def __hash__(self) -> int:  # hashed once: grammar values key prestar's rule index
-        return self._hash
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.variables, self.terminals, self.productions, self.start))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self) -> dict:  # a hash is only valid in the process that made it
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,15 @@ one namespace, so an automaton edge enters only when labelled ε or by a
 terminal of the grammar: a foreign terminal derives nothing, even one
 spelled like a nonterminal.
 
-Each triple is held once in each of three views: bit r of ``by_start[q][X]``
-and bit q of ``by_end[r][X]``, both Python-int masks (sets of states on
-automata of more than ``_MASK_STATES`` states), and the ``journal`` in
-derivation order. A rule joins a new triple to all its partners by one
-AND-NOT of two mask rows, so only triples not yet held reach the journal,
-whose unprocessed tail is the worklist. Saturation can stop at a goal, the
-start symbol spanning initial to accepting, which stays met once met. So
-PrestarSession can add one edge, saturate up to the goal, and commit or
-truncate the journal back. A grammar's rule index is built once per ``Cfg``
-value and shared read-only. Sessions are single-owner mutable values.
+Each triple is held once in each of three views: r in the set
+``by_start[q][X]``, q in ``by_end[r][X]``, and the ``journal`` in derivation
+order. A rule joins a new triple to all its partners by one difference of
+two rows, so only triples not yet held reach the journal, whose unprocessed
+tail is the worklist. Saturation can stop at a goal, the start symbol
+spanning initial to accepting, which stays met once met. So PrestarSession
+can add one edge, saturate up to the goal, and commit or truncate the journal
+back. A grammar's normal form and rule index are built once per ``Cfg`` value
+and shared read-only. Sessions are single-owner mutable values.
 """
 
 from __future__ import annotations
@@ -29,14 +28,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import replace
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .grammar import Cfg, GrammarError, normalize
+from .grammar import Cfg, GrammarError, is_normal_form, normalize
 from .nfa import Nfa, eliminate_epsilon, trim, word_automaton
 
 
-@lru_cache(maxsize=64)
-def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], list[str], dict[str, tuple[list, list, list]]]:
+@lru_cache(maxsize=16)  # one slot per grammar a query decides: up to 10 in the benchmark
+def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], tuple[str, ...], dict[str, tuple[list, list, list]]]:
     """``normalize(g)``, its terminals, its ε-rule heads and its rule index
     ``of``, built once per grammar value: ``of[X]`` holds the A with A -> X,
     the (A, C) with A -> XC and the (A, B) with A -> BX."""
@@ -49,47 +48,28 @@ def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], list[str], dict[str, tuple[list
         elif names:
             of.setdefault(names[0], ([], [], []))[1].append((p.lhs, names[1]))
             of.setdefault(names[1], ([], [], []))[2].append((p.lhs, names[0]))
-    return gn, frozenset(gn.terminals), [p.lhs for p in gn.productions if not p.rhs], of
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        i = mask.bit_length() - 1
-        yield i
-        mask ^= 1 << i
-
-
-# Up to this many states a mask is no larger than an empty set. Beyond it the
-# rows are sets of states: masks there took memory quadratic in the states
-# (2.6 GB against 0.36 GB for sets on a 32,770-state complement DFA).
-_MASK_STATES = 1024
+    return gn, frozenset(gn.terminals), tuple(p.lhs for p in gn.productions if not p.rhs), of
 
 
 class _Saturator:
-    """Worklist closure of the derivability triples over a fixed state set.
+    """Worklist closure of the triples of ``normalize(g)`` over the states of ``a``.
 
-    Invariant: bit r of ``by_start[q][X]``, bit q of ``by_end[r][X]`` (members
-    r and q when the rows are sets) and the ``journal`` entry (q, X, r) are
-    there for exactly the same triples. ``journal[done:]`` is the worklist,
-    and at a fixpoint ``done == len(journal)``. ``steps`` counts one per
-    processed journal entry plus one per call of ``add`` (a seed, an automaton
-    edge or a unit rule), whether or not it finds a new triple; mask
-    compositions are not counted apart.
+    Invariant: r in ``by_start[q][X]``, q in ``by_end[r][X]`` and the
+    ``journal`` entry (q, X, r) are there for exactly the same triples, and
+    ``goal_met`` says whether one of them is (initial, start, accepting).
+    ``journal[done:]`` is the worklist, and at a fixpoint ``done ==
+    len(journal)``. ``steps`` counts one per processed journal entry plus one
+    per call of ``add`` (a seed, an automaton edge or a unit rule), whether or
+    not it finds a new triple; row differences are not counted apart. Rows are
+    sets: an int mask is as wide as its highest state (2.6 GB on a 32,770-state DFA).
     """
 
-    def __init__(self, gn: Cfg, a: Nfa) -> None:
-        normal, self.terminals, eps_lhs, self.rules = _rules(gn)
-        if normal != gn:
-            raise GrammarError("saturation requires a grammar in normal form")
-        if a.num_states <= _MASK_STATES:
-            kind, self.empty, self.one, self.members = int, 0, (1).__lshift__, _bits
-            accepting = sum(1 << q for q in a.accepting)
-        else:
-            kind, self.empty, self.one, self.members = set, frozenset(), lambda q: {q}, iter
-            accepting = frozenset(a.accepting)
-        self.goal = (gn.start, a.initial, accepting)
-        self.by_start: list[dict[str | None, int | set[int]]] = [defaultdict(kind) for _ in a.states]
-        self.by_end: list[dict[str | None, int | set[int]]] = [defaultdict(kind) for _ in a.states]
+    def __init__(self, g: Cfg, a: Nfa) -> None:
+        self.grammar, self.terminals, eps_lhs, self.rules = _rules(g)
+        self.start, self.initial, self.accepting = self.grammar.start, a.initial, frozenset(a.accepting)
+        self.goal_met = False
+        self.by_start: list[dict[str | None, set[int]]] = [defaultdict(set) for _ in a.states]
+        self.by_end: list[dict[str | None, set[int]]] = [defaultdict(set) for _ in a.states]
         self.journal: list[tuple[int, str | None, int]] = []
         self.done = self.steps = 0
         for q in a.states:
@@ -105,47 +85,45 @@ class _Saturator:
 
     def add(self, q: int, sym: str | None, r: int) -> None:
         self.steps += 1
-        bit = self.one(r)
-        if not bit & self.by_start[q].get(sym, self.empty):
-            self._ends(q, sym, bit)
+        if r not in self.by_start[q][sym]:
+            self._ends(q, sym, {r})
 
-    def _ends(self, q: int, sym: str | None, ends) -> None:
-        """Hold (q, sym, r) for each member r of ``ends``; none is held yet."""
+    def _ends(self, q: int, sym: str | None, ends: set[int]) -> None:
+        """Hold (q, sym, r) for each r in ``ends``; none is held yet."""
         self.by_start[q][sym] |= ends
-        bit = self.one(q)
-        for r in self.members(ends):
-            self.by_end[r][sym] |= bit
+        for r in ends:
+            self.by_end[r][sym].add(q)
             self.journal.append((q, sym, r))
+        if q == self.initial and sym == self.start and not self.accepting.isdisjoint(ends):
+            self.goal_met = True
 
-    def _starts(self, starts, sym: str | None, r: int) -> None:
-        """Hold (q, sym, r) for each member q of ``starts``; none is held yet."""
+    def _starts(self, starts: set[int], sym: str | None, r: int) -> None:
+        """Hold (q, sym, r) for each q in ``starts``; none is held yet."""
         self.by_end[r][sym] |= starts
-        bit = self.one(r)
-        for q in self.members(starts):
-            self.by_start[q][sym] |= bit
+        for q in starts:
+            self.by_start[q][sym].add(r)
             self.journal.append((q, sym, r))
+        if sym == self.start and r in self.accepting and self.initial in starts:
+            self.goal_met = True
 
     def saturate(self, stop_at_goal: bool = False) -> bool:
         """Process the worklist up to the fixpoint or, if ``stop_at_goal``, until
-        the start symbol spans initial to accepting; returns whether it does."""
+        the goal is met; returns ``goal_met``."""
         by_start, by_end, journal, i = self.by_start, self.by_end, self.journal, self.done
         of, none, add, ends, starts = self.rules, ((), (), ()), self.add, self._ends, self._starts
-        empty = self.empty
-        start, initial, accepting = self.goal
-        target = by_start[initial]
-        while i < len(journal) and not (stop_at_goal and target.get(start, empty) & accepting):
+        while i < len(journal) and not (stop_at_goal and self.goal_met):
             q, sym, r = journal[i]
             i += 1
             row_q, row_r, col_q, col_r = by_start[q], by_start[r], by_end[q], by_end[r]
             if sym is None:
                 # ε composes with every triple on either side; a row iterated
                 # here changes only when q == r, where nothing is new
-                for sym2, mask in row_r.items():
-                    new = mask - (mask & row_q.get(sym2, empty))
+                for sym2, rs in row_r.items():
+                    new = rs - row_q[sym2]
                     if new:
                         ends(q, sym2, new)
-                for sym2, mask in col_q.items():
-                    new = mask - (mask & col_r.get(sym2, empty))
+                for sym2, qs in col_q.items():
+                    new = qs - col_r[sym2]
                     if new:
                         starts(new, sym2, r)
                 continue
@@ -153,22 +131,22 @@ class _Saturator:
             for lhs in units:
                 add(q, lhs, r)
             for lhs, c in lefts:
-                new = c in row_r and row_r[c] - (row_r[c] & row_q.get(lhs, empty))
+                new = c in row_r and row_r[c] - row_q[lhs]
                 if new:
                     ends(q, lhs, new)
             for lhs, b in rights:
-                new = b in col_q and col_q[b] - (col_q[b] & col_r.get(lhs, empty))
+                new = b in col_q and col_q[b] - col_r[lhs]
                 if new:
                     starts(new, lhs, r)
-            new = None in row_r and row_r[None] - (row_r[None] & row_q[sym])
+            new = None in row_r and row_r[None] - row_q[sym]
             if new:
                 ends(q, sym, new)
-            new = None in col_q and col_q[None] - (col_q[None] & col_r[sym])
+            new = None in col_q and col_q[None] - col_r[sym]
             if new:
                 starts(new, sym, r)
         self.steps += i - self.done
         self.done = i
-        return bool(target.get(start, empty) & accepting)
+        return self.goal_met
 
     def mark(self) -> int:
         assert self.done == len(self.journal), "mark only valid at a fixpoint"
@@ -176,12 +154,13 @@ class _Saturator:
 
     def revert(self, mark: int) -> None:
         """Drop the triples journaled from ``mark`` on; their rows may stay empty."""
-        by_start, by_end, one = self.by_start, self.by_end, self.one
+        by_start, by_end = self.by_start, self.by_end
         for q, sym, r in self.journal[mark:]:
-            by_start[q][sym] ^= one(r)
-            by_end[r][sym] ^= one(q)
+            by_start[q][sym].discard(r)
+            by_end[r][sym].discard(q)
         del self.journal[mark:]
         self.done = mark
+        self.goal_met = not self.accepting.isdisjoint(by_start[self.initial][self.start])
 
 
 def prestar(g: Cfg, a: Nfa) -> Nfa:
@@ -192,6 +171,8 @@ def prestar(g: Cfg, a: Nfa) -> Nfa:
     nonterminals (a nonterminal-labeled transition (q, A, q') records that A
     derives some word read between q and q').
     """
+    if not is_normal_form(g):
+        raise GrammarError("prestar requires a grammar in normal form")
     sat = _Saturator(g, a)
     sat.saturate()
     alphabet = a.alphabet + tuple(v for v in g.variables if v not in set(a.alphabet))
@@ -201,11 +182,7 @@ def prestar(g: Cfg, a: Nfa) -> Nfa:
 
 def intersects(g: Cfg, a: Nfa) -> bool:
     """True iff L(g) ∩ L(a) is nonempty. Accepts any grammar and automaton."""
-    gn = _rules(g)[0]
-    compact = trim(eliminate_epsilon(a))
-    if not compact.accepting:
-        return False
-    return _Saturator(gn, compact).saturate(stop_at_goal=True)
+    return _Saturator(g, trim(eliminate_epsilon(a))).saturate(stop_at_goal=True)
 
 
 def in_language(g: Cfg, word: Sequence[str]) -> bool:
@@ -227,11 +204,11 @@ class PrestarSession:
 
     def __init__(self, grammar: Cfg, word: Sequence[str]) -> None:
         self.word = tuple(word)
-        self.grammar = _rules(grammar)[0]
-        self.base = base = word_automaton(self.word)
+        self.base = word_automaton(self.word)
         self.edges: list[tuple[int, str | None, int]] = []
-        self._sat = _Saturator(self.grammar, base)
+        self._sat = _Saturator(grammar, self.base)
         self._sat.saturate()
+        self.grammar = self._sat.grammar
 
     @property
     def steps(self) -> int:

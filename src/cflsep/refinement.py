@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
-from .grammar import Cfg, GrammarError, normalize
+from .grammar import Cfg, GrammarError
 from .nfa import Nfa, union
 from .prestar import PrestarSession, in_language, intersects
 
@@ -110,8 +110,8 @@ def gen_language(sg: StarGeneralization) -> Nfa:
     return Nfa(counter[0], alphabet, frozenset(transitions), start, frozenset({end}))
 
 
-def _disjoint(gn: Cfg, auto: Nfa) -> bool:
-    return not intersects(gn, auto)
+def _disjoint(g: Cfg, auto: Nfa) -> bool:
+    return not intersects(g, auto)
 
 
 def _outside(g: Cfg, w: Sequence[str]) -> tuple[str, ...]:
@@ -144,7 +144,7 @@ class _StarSession:
     """Accepted star ranges of one word, in PrestarSession's protocol."""
 
     def __init__(self, g: Cfg, w: tuple[str, ...]) -> None:
-        self.word, self.grammar = w, normalize(g)
+        self.word, self.grammar = w, g
         self.edges: list[tuple[int, int]] = []
 
     def try_add(self, r: tuple[int, int]) -> bool:

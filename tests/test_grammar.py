@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -45,6 +47,18 @@ def test_normalize_palindrome_shape_and_language():
     assert is_normal_form(gn)
     expected = {w for w in words_upto(("a", "b"), 6) if is_palindrome(w)}
     assert enumerate_words(gn, 6) == frozenset(expected)
+
+
+def test_copied_grammar_hashes_like_a_fresh_equal_one():
+    # the hash is cached on first use; a copy or an unpickled value must not
+    # carry it over, since another process may hash with another seed
+    g = normalize(ANCBN)
+    fresh = normalize(grammar('grammar G { start A; A -> "a" B "b" | "c"; B -> A; }'))
+    hash(g)
+    g.__dict__["_hash"] = hash(fresh) + 1  # as if hashed under another seed
+    for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert twin == fresh and hash(twin) == hash(fresh)
+        assert len({twin, fresh}) == 1
 
 
 def test_normalize_is_identity_on_normal_grammars():

@@ -1,5 +1,4 @@
 import random
-import sys
 from dataclasses import replace
 
 import pytest
@@ -9,30 +8,19 @@ from hypothesis import strategies as st
 from cflsep.grammar import GrammarError, normalize
 from cflsep.grammar_io import parse_file
 from cflsep.nfa import word_automaton
-from cflsep.prestar import PrestarSession, _Saturator, in_language, intersects, prestar
+from cflsep.prestar import PrestarSession, _rules, _Saturator, in_language, intersects, prestar
 from cflsep.refinement import gen_language, StarGeneralization
 
 from oracles import accepts, enumerate_accepted, enumerate_words, prestar_triples
 from support import AIBI1, NAME_CLASH, PALINDROME, grammar, hand_nfa, random_cfg, random_nfa
 
 ABBA = word_automaton(("a", "b", "b", "a"))
-PRESTAR = sys.modules["cflsep.prestar"]  # the package's ``prestar`` is the function
-# rows as masks (the automata here are small), then as sets of states
-ROW_KINDS = pytest.mark.parametrize("mask_states", [PRESTAR._MASK_STATES, 0], ids=["masks", "sets"])
-
-
-def _members(row):
-    """The states of one row: the bits of a mask, or a set of states."""
-    if isinstance(row, int):
-        return [i for i in range(row.bit_length()) if row >> i & 1]
-    return list(row)
 
 
 def _views(sat):
-    """The saturator's triples as read off its journal and the rows of
-    by_start and by_end."""
-    from_start = {(q, x, r) for q, row in enumerate(sat.by_start) for x, rs in row.items() for r in _members(rs)}
-    from_end = {(q, x, r) for r, row in enumerate(sat.by_end) for x, qs in row.items() for q in _members(qs)}
+    """The saturator's triples as read off its journal, by_start and by_end."""
+    from_start = {(q, x, r) for q, row in enumerate(sat.by_start) for x, rs in row.items() for r in rs}
+    from_end = {(q, x, r) for r, row in enumerate(sat.by_end) for x, qs in row.items() for q in qs}
     assert len(set(sat.journal)) == len(sat.journal)  # each triple journaled once
     return set(sat.journal), from_start, from_end
 
@@ -180,20 +168,19 @@ def test_session_matches_fresh_prestar_after_rejections():
         assert triples == from_start == from_end == set(fresh.journal)
 
 
-def _masks(rows):
-    """A copy of the rows as sets of states, without the empty rows that a
-    revert leaves behind (set rows change in place, so they are copied)."""
-    return [{x: frozenset(_members(m)) for x, m in row.items() if m} for row in rows]
+def _rows(rows):
+    """A copy of the rows (they change in place), without the empty rows that
+    a lookup or a revert leaves behind."""
+    return [{x: frozenset(states) for x, states in row.items() if states} for row in rows]
 
 
-@ROW_KINDS
-def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch, mask_states):
-    monkeypatch.setattr(PRESTAR, "_MASK_STATES", mask_states)
+def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch):
     session = PrestarSession(AIBI1, ("a", "a", "b"))
     for edge in [(0, None, 1), (2, None, 3), (1, None, 3), (0, None, 3), (0, "a", 0), (1, "a", 1)]:
         assert session.try_add(edge)
     sat = session._sat
-    before = (list(sat.journal), sat.done, _masks(sat.by_start), _masks(sat.by_end))
+    before = (list(sat.journal), sat.done, _rows(sat.by_start), _rows(sat.by_end))
+    assert not sat.goal_met
     at_revert = []
     revert = sat.revert
 
@@ -205,7 +192,8 @@ def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch
     assert not session.try_add((2, "b", 2))  # would accept "abb" (in L)
     (done, derived), = at_revert
     assert done < derived  # the goal was met with worklist entries left
-    assert (list(sat.journal), sat.done, _masks(sat.by_start), _masks(sat.by_end)) == before
+    assert (list(sat.journal), sat.done, _rows(sat.by_start), _rows(sat.by_end)) == before
+    assert not sat.goal_met
     # the fixpoint with the rejected edge holds more triples than were derived
     rejected = session.automaton()
     full = _Saturator(session.grammar, replace(rejected, transitions=rejected.transitions | {(2, "b", 2)}))
@@ -227,18 +215,28 @@ def grammar_automaton_pairs(draw):
     return random_cfg(rng), random_nfa(rng)
 
 
-@ROW_KINDS
 @given(grammar_automaton_pairs())
 @settings(max_examples=100, deadline=None)
-def test_kernel_matches_reference_fixpoint(mask_states, pair):
+def test_kernel_matches_reference_fixpoint(pair):
     g, a = pair
     gn = normalize(g)
     reference = prestar_triples(gn, a)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(PRESTAR, "_MASK_STATES", mask_states)
-        assert prestar(gn, a).transitions == a.transitions | reference
-        spans = any((a.initial, gn.start, f) in reference for f in a.accepting)
-        assert intersects(g, a) == spans
+    assert prestar(gn, a).transitions == a.transitions | reference
+    spans = any((a.initial, gn.start, f) in reference for f in a.accepting)
+    assert intersects(g, a) == spans
+
+
+def test_each_grammar_fills_one_rule_index_slot():
+    # intersects, in_language and sessions share the index of the grammar
+    # they are given, and do not key a second one by its normal form
+    g = grammar('grammar G { start S; S -> "a" S "b" | "c"; }')
+    assert normalize(g) != g
+    _rules.cache_clear()
+    assert intersects(g, word_automaton(("a", "c", "b")))
+    assert not in_language(g, ("a", "c"))
+    session = PrestarSession(g, ("c", "b"))
+    assert session.try_add((0, None, 1)) and not session.try_add((1, None, 2))  # "b", then "c"
+    assert _rules.cache_info().currsize == 1
 
 
 def test_session_validates_edge_shapes():
