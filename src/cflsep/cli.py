@@ -145,16 +145,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return "timeout" if time.monotonic() > deadline else None
 
     observer = None
-    if args.dump_approx:
-        dump_dir = Path(args.dump_approx)
-        dump_dir.mkdir(parents=True, exist_ok=True)
+    try:  # the only OSError here is --dump-approx failing to create or write
+        if args.dump_approx:
+            dump_dir = Path(args.dump_approx)
+            dump_dir.mkdir(parents=True, exist_ok=True)
 
-        def observer(iteration: int, approxs: Sequence[Nfa]) -> None:
-            for name, approx in zip(names, approxs):
-                path = dump_dir / f"{name}-iter{iteration}.dot"
-                path.write_text(to_dot(approx, name=f"{name}_iter{iteration}"), encoding="utf-8")
+            def observer(iteration: int, approxs: Sequence[Nfa]) -> None:
+                for name, approx in zip(names, approxs):
+                    path = dump_dir / f"{name}-iter{iteration}.dot"
+                    path.write_text(to_dot(approx, name=f"{name}_iter{iteration}"), encoding="utf-8")
 
-    verdict = check_disjoint(grammars, config, should_stop=should_stop, observer=observer)
+        verdict = check_disjoint(grammars, config, should_stop=should_stop, observer=observer)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.validate:
         problem = _validate_verdict(verdict, grammars)

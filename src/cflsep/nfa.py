@@ -1,10 +1,15 @@
 """Nondeterministic finite automata with epsilon transitions.
 
-States are dense integers local to each automaton; every operation builds a
-fresh value, so automata can be shared freely. Labels are terminal names
+States are dense integers local to each automaton, and values are immutable,
+so automata can be shared freely. An operation whose result would equal its
+argument returns the argument itself: ``trim`` of a trim automaton,
+``eliminate_epsilon`` of an epsilon-free one. A value records two facts about
+itself in its ``__dict__``: that ``trim`` returned it, and whether it has
+epsilon edges. This is not a caching layer: both are booleans about an
+immutable value, they take no part in ``==`` and ``hash``, and no index is
+kept (every walk builds its own ``_successors``). Labels are terminal names
 (arbitrary strings) or ``None`` for epsilon. Determinization only happens
-inside complement/difference; everything else stays
-nondeterministic.
+inside complement/difference; everything else stays nondeterministic.
 """
 
 from __future__ import annotations
@@ -41,8 +46,10 @@ class Nfa:
     def states(self) -> range:
         return range(self.num_states)
 
-    def has_epsilon(self) -> bool:
-        return any(x is None for _, x, _ in self.transitions)
+    def has_epsilon(self) -> bool:  # scanned once per value
+        if "_has_epsilon" not in self.__dict__:
+            self.__dict__["_has_epsilon"] = any(x is None for _, x, _ in self.transitions)
+        return self.__dict__["_has_epsilon"]
 
 
 def _merge_alphabets(*alphabets: Sequence[str]) -> tuple[str, ...]:
@@ -100,7 +107,13 @@ def eliminate_epsilon(a: Nfa) -> Nfa:
 
 
 def trim(a: Nfa) -> Nfa:
-    """Keep only states on some path initial -> accepting; renumber densely."""
+    """Keep only states on some path initial -> accepting; renumber densely.
+
+    Returns ``a`` itself when every state is useful, and marks what it returns
+    as trimmed, so trimming a trimmed value does no work.
+    """
+    if a.__dict__.get("_trimmed"):
+        return a
     forward: dict[int, set[int]] = {q: set() for q in a.states}
     backward: dict[int, set[int]] = {q: set() for q in a.states}
     for q, _, r in a.transitions:
@@ -120,24 +133,30 @@ def trim(a: Nfa) -> Nfa:
 
     useful = reach({a.initial}, forward) & reach(a.accepting, backward)
     useful.add(a.initial)
-    renum = {q: i for i, q in enumerate(sorted(useful))}
-    transitions = frozenset(
-        (renum[q], x, renum[r])
-        for q, x, r in a.transitions
-        if q in useful and r in useful
-    )
-    accepting = frozenset(renum[q] for q in a.accepting if q in useful)
-    return Nfa(len(useful), a.alphabet, transitions, renum[a.initial], accepting)
+    if len(useful) < a.num_states:  # else the renumbering is the identity
+        renum = {q: i for i, q in enumerate(sorted(useful))}
+        transitions = frozenset(
+            (renum[q], x, renum[r])
+            for q, x, r in a.transitions
+            if q in useful and r in useful
+        )
+        accepting = frozenset(renum[q] for q in a.accepting if q in useful)
+        a = Nfa(len(useful), a.alphabet, transitions, renum[a.initial], accepting)
+    a.__dict__["_trimmed"] = True
+    return a
 
 
-def _determinize_complete(a: Nfa, alphabet: Sequence[str]) -> Nfa:
-    """Subset construction over ``alphabet``, completed with a sink state.
+def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
+    """Automaton for the complement of ``L(a)`` relative to ``alphabet``*.
 
-    Returns a deterministic automaton (as an Nfa value) whose transition
-    function is total, which is what complementation needs.
+    Defaults to the automaton's own alphabet; callers comparing languages
+    over a wider alphabet must pass it explicitly. This is the subset
+    construction, completed with a sink state (the empty subset) so that its
+    transition function is total, accepting the subsets with no accepting
+    state of ``a``.
     """
+    alpha = a.alphabet if alphabet is None else _merge_alphabets(alphabet, a.alphabet)
     a = eliminate_epsilon(a)
-    alphabet = tuple(alphabet)
     succ = _successors(a)
 
     start = frozenset({a.initial})
@@ -147,28 +166,16 @@ def _determinize_complete(a: Nfa, alphabet: Sequence[str]) -> Nfa:
     while queue:
         subset = queue.popleft()
         src = numbering[subset]
-        for sym in alphabet:
+        for sym in alpha:
             nxt = frozenset(r for q in subset for r in succ[q].get(sym, ()))
             if nxt not in numbering:
                 numbering[nxt] = len(numbering)
                 queue.append(nxt)
             transitions.add((src, sym, numbering[nxt]))
     accepting = frozenset(
-        idx for subset, idx in numbering.items() if subset & a.accepting
+        idx for subset, idx in numbering.items() if a.accepting.isdisjoint(subset)
     )
-    return Nfa(len(numbering), alphabet, frozenset(transitions), 0, accepting)
-
-
-def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
-    """Automaton for the complement of ``L(a)`` relative to ``alphabet``*.
-
-    Defaults to the automaton's own alphabet; callers comparing languages
-    over a wider alphabet must pass it explicitly.
-    """
-    alpha = a.alphabet if alphabet is None else _merge_alphabets(alphabet, a.alphabet)
-    dfa = _determinize_complete(a, alpha)
-    flipped = frozenset(q for q in dfa.states if q not in dfa.accepting)
-    return Nfa(dfa.num_states, dfa.alphabet, dfa.transitions, dfa.initial, flipped)
+    return Nfa(len(numbering), alpha, frozenset(transitions), 0, accepting)
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:

@@ -236,6 +236,22 @@ def test_main_dump_approx(tmp_path, capsys):
     assert body.startswith("digraph")
 
 
+def test_main_dump_approx_unwritable_is_usage_error(tmp_path, capsys):
+    # a regular file where the directory should be, then a directory where a
+    # dump file should be: neither may look like an OVERLAP verdict (exit 1)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([fixture("c5c6.cfg"), "--dump-approx", str(blocker)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    (tmp_path / "dir" / "C5-iter0.dot").mkdir(parents=True)
+    assert main([fixture("c5c6.cfg"), "--dump-approx", str(tmp_path / "dir")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_main_dump_approx_is_independent_of_hash_seed(tmp_path):
     # c5c8's nederhof approximations are products; their state numbers must
     # not follow the iteration order of hash-seeded successor sets

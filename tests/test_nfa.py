@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -18,8 +21,10 @@ from cflsep.nfa import (
     word_automaton,
 )
 
+from cflsep.approximation import nederhof
+
 from oracles import accepts, cat, enumerate_accepted, equivalent, lit, regex_to_nfa, star
-from support import hand_nfa, random_nfa, words_upto
+from support import FIXTURES, hand_nfa, load_fixture, random_nfa, words_upto
 
 SIGMA_STAR = hand_nfa(1, ("a", "b"), {(0, "a", 0), (0, "b", 0)}, 0, {0})
 
@@ -256,3 +261,134 @@ def test_boolean_structure(pair):
         in_a, in_b = accepts(a, w), accepts(b, w)
         assert accepts(inter, w) == (in_a and in_b)
         assert accepts(comp, w) == (not in_a)
+
+
+# --- values that record facts about themselves --------------------------------
+
+MARKS = ("_trimmed", "_has_epsilon")
+
+
+def _marks(a: Nfa) -> dict:
+    return {k: v for k, v in vars(a).items() if k in MARKS}
+
+
+def _fresh(a: Nfa) -> Nfa:
+    """An equal value built anew, so it carries no marks."""
+    return Nfa(a.num_states, a.alphabet, a.transitions, a.initial, a.accepting)
+
+
+def _sample_automata() -> list[Nfa]:
+    """Random automata, the fixtures' Nederhof approximations (with epsilon
+    edges) and their epsilon-free forms, each built anew."""
+    rng = random.Random(31)
+    out = [random_nfa(rng, max_states=6) for _ in range(60)]
+    for path in sorted(FIXTURES.glob("*.cfg")):
+        for g in load_fixture(path.name):
+            approx = nederhof(g)
+            out += [_fresh(approx), _fresh(eliminate_epsilon(approx))]
+    return out
+
+
+def _useful(a: Nfa) -> set[int]:
+    """States on some path initial -> accepting, by a closure over all pairs."""
+    reach = {(q, q) for q in a.states} | {(q, r) for q, _, r in a.transitions}
+    while True:
+        longer = reach | {(q, s) for q, r in reach for r2, s in reach if r == r2}
+        if longer == reach:
+            break
+        reach = longer
+    return {
+        q for q in a.states
+        if (a.initial, q) in reach and any((q, f) in reach for f in a.accepting)
+    }
+
+
+def test_trim_returns_a_trimmed_value_itself():
+    for a in _sample_automata():
+        t = trim(a)
+        assert trim(t) is t
+        assert trim(_fresh(t)) == t
+    # a marked value is returned at once, without a look at its states
+    forged = hand_nfa(2, ("a",), set(), 0, set())
+    forged.__dict__["_trimmed"] = True
+    assert trim(forged) is forged
+
+
+def test_intersect_output_is_trimmed():
+    rng = random.Random(32)
+    samples = _sample_automata()
+    for _ in range(80):
+        a, b = rng.choice(samples), rng.choice(samples)
+        p = intersect(a, b)
+        assert trim(p) is p
+        assert trim(_fresh(p)) == p
+
+
+def test_trim_is_identity_exactly_without_useless_states():
+    samples = _sample_automata()
+    identities = 0
+    for a in samples:
+        # the initial state is kept even when the language is empty
+        no_useless = (_useful(a) | {a.initial}) == set(a.states)
+        t = trim(a)
+        assert (t == a) == no_useless
+        assert (t is a) == no_useless
+        identities += no_useless
+    assert 0 < identities < len(samples)
+
+
+def test_marks_leave_equality_hash_pickle_and_copy_alone():
+    for a in _sample_automata():
+        before = _fresh(a)
+        t = trim(a)
+        t.has_epsilon()
+        assert _marks(t) == {"_trimmed": True, "_has_epsilon": t.has_epsilon()}
+        plain = _fresh(t)
+        assert t == plain and hash(t) == hash(plain)
+        assert a == before and hash(a) == hash(before)
+        for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert clone == t and hash(clone) == hash(t)
+            assert _marks(clone) == _marks(t)
+            assert trim(clone) is clone
+
+
+def test_replace_yields_an_unmarked_value():
+    for a in _sample_automata():
+        t = trim(a)
+        t.has_epsilon()
+        same = dataclasses.replace(t)
+        assert same == t and _marks(same) == {}
+        # a stale mark would hand back a value that is no longer trim
+        emptied = dataclasses.replace(t, accepting=frozenset())
+        assert _marks(emptied) == {}
+        assert trim(emptied).num_states == 1
+
+
+def test_has_epsilon_is_recorded_once():
+    a = hand_nfa(2, ("a",), {(0, None, 1), (1, "a", 1)}, 0, {1})
+    assert a.has_epsilon() and _marks(a) == {"_has_epsilon": True}
+    b = eliminate_epsilon(a)
+    assert not b.has_epsilon()
+    assert eliminate_epsilon(b) is b
+
+
+def test_complement_recognizes_the_complement_with_a_sink():
+    alphabet = ("a", "b")
+    for a in _sample_automata():
+        if set(a.alphabet) - set(alphabet):
+            continue
+        comp = complement(a, alphabet)
+        assert is_empty(intersect(a, comp))
+        assert equivalent(union(a, comp), SIGMA_STAR)
+        assert equivalent(complement(comp, alphabet), a)
+        for w in words_upto(alphabet, 5):
+            assert accepts(comp, w) != accepts(a, w)
+        # complete and deterministic: one edge per state and symbol
+        assert sorted((q, x) for q, x, _ in comp.transitions) == [
+            (q, x) for q in comp.states for x in alphabet
+        ]
+    # a finite language leaves a sink: an accepting state looping on every symbol
+    comp = complement(word_automaton(("a",)), alphabet)
+    assert comp.num_states == 3
+    sinks = [q for q in comp.states if all((q, x, q) in comp.transitions for x in alphabet)]
+    assert len(sinks) == 1 and sinks[0] in comp.accepting
