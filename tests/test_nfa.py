@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cflsep.approximation import nederhof
 from cflsep.nfa import (
     Nfa,
     complement,
@@ -20,8 +21,6 @@ from cflsep.nfa import (
     union,
     word_automaton,
 )
-
-from cflsep.approximation import nederhof
 
 from oracles import accepts, cat, enumerate_accepted, equivalent, lit, regex_to_nfa, star
 from support import FIXTURES, hand_nfa, load_fixture, random_nfa, words_upto
