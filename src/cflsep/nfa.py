@@ -175,7 +175,9 @@ def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
     accepting = frozenset(
         idx for subset, idx in numbering.items() if a.accepting.isdisjoint(subset)
     )
-    return Nfa(len(numbering), alpha, frozenset(transitions), 0, accepting)
+    comp = Nfa(len(numbering), alpha, frozenset(transitions), 0, accepting)
+    comp.__dict__["_has_epsilon"] = False  # epsilon-free by construction: no scan
+    return comp
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
@@ -215,8 +217,9 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
         for (qa, qb), idx in numbering.items()
         if qa in a.accepting and qb in b.accepting
     )
-    product = Nfa(len(numbering), alpha, frozenset(transitions), 0, accepting)
-    return trim(product)
+    product = trim(Nfa(len(numbering), alpha, frozenset(transitions), 0, accepting))
+    product.__dict__["_has_epsilon"] = False  # epsilon-free by construction: no scan
+    return product
 
 
 def union(*parts: Nfa) -> Nfa:

@@ -17,10 +17,14 @@ Each triple is held once in each of three views: r in the set
 order. A rule joins a new triple to all its partners by one difference of
 two rows, so only triples not yet held reach the journal, whose unprocessed
 tail is the worklist. Saturation can stop at a goal, the start symbol
-spanning initial to accepting, which stays met once met. So PrestarSession
-can add one edge, saturate up to the goal, and commit or truncate the journal
-back. A grammar's normal form and rule index are built once per ``Cfg`` value
-and shared read-only. Sessions are single-owner mutable values.
+spanning initial to accepting, which stays met once met. A grammar's normal
+form and rule indexes are built once per ``Cfg`` value and shared read-only.
+
+A PrestarSession also derives context triples, seeded with (accepting, S^,
+initial): (r, X^, q) means some u leads from the initial state to q, some v
+from r to an accepting state, and S =>* u X v, with ε^ the hole. So (r, x^, q)
+rejects the edge (q, x, r) by one lookup; other edges are saturated up to the
+goal and kept or truncated back. Sessions are single-owner mutable values.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence
 
-from .grammar import Cfg, GrammarError, is_normal_form, normalize
+from .grammar import Cfg, GrammarError, Production, fresh_name, is_normal_form, normalize, nt
 from .nfa import Nfa, eliminate_epsilon, trim, word_automaton
 
 
@@ -51,8 +55,32 @@ def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], tuple[str, ...], dict[str, tupl
     return gn, frozenset(gn.terminals), tuple(p.lhs for p in gn.productions if not p.rhs), of
 
 
+@lru_cache(maxsize=16)  # slots of its own: a session's grammar fills one of _rules as well
+def _context(g: Cfg) -> tuple[Cfg, dict[str, tuple[list, list, list]], dict[str | None, str]]:
+    """``normalize(g)`` augmented for context triples, its rule index, and the
+    hat X^ of each symbol X, with the hole H as ε^: B^ -> C A^ and C^ -> A^ B
+    for each A -> BC, B^ -> A^ for each A -> B or A -> b, H -> X X^ for each
+    nonterminal X, and H -> S^ S."""
+    gn = _rules(g)[0]
+    used = set(gn.variables) | set(gn.terminals)
+    hat: dict[str | None, str] = {x: fresh_name(f"{x}^", used) for x in gn.variables + gn.terminals}
+    hat[None] = hole = fresh_name("hole", used)
+    prods = list(gn.productions) + [Production(hole, (nt(hat[gn.start]), nt(gn.start)))]
+    prods += [Production(hole, (nt(x), nt(hat[x]))) for x in gn.variables]
+    for p in gn.productions:
+        up = nt(hat[p.lhs])
+        if len(p.rhs) == 2:
+            b, c = p.rhs
+            prods += [Production(hat[b.name], (c, up)), Production(hat[c.name], (up, b))]
+        elif p.rhs:
+            prods.append(Production(hat[p.rhs[0].name], (up,)))
+    aug = Cfg(gn.variables + tuple(hat.values()), gn.terminals, tuple(prods), gn.start)
+    return aug, _rules.__wrapped__(aug)[3], hat  # indexed outside the cache
+
+
 class _Saturator:
-    """Worklist closure of the triples of ``normalize(g)`` over the states of ``a``.
+    """Worklist closure of the triples of ``normalize(g)`` over the states of ``a``;
+    with ``context``, of ``_context(g)`` seeded with (accepting, S^, initial).
 
     Invariant: r in ``by_start[q][X]``, q in ``by_end[r][X]`` and the
     ``journal`` entry (q, X, r) are there for exactly the same triples, and
@@ -64,7 +92,7 @@ class _Saturator:
     sets: an int mask is as wide as its highest state (2.6 GB on a 32,770-state DFA).
     """
 
-    def __init__(self, g: Cfg, a: Nfa) -> None:
+    def __init__(self, g: Cfg, a: Nfa, context: bool = False) -> None:
         self.grammar, self.terminals, eps_lhs, self.rules = _rules(g)
         self.start, self.initial, self.accepting = self.grammar.start, a.initial, frozenset(a.accepting)
         self.goal_met = False
@@ -77,6 +105,10 @@ class _Saturator:
                 self.add(q, lhs, q)
         for q, x, r in sorted(a.transitions, key=lambda tr: (tr[0], tr[1] or "", tr[2])):
             self.add_edge(q, x, r)
+        if context:  # seeded as a triple, not as an edge: no label can play it
+            _, self.rules, self.hat = _context(g)
+            for f in sorted(a.accepting):
+                self.add(f, self.hat[self.start], a.initial)
 
     def add_edge(self, q: int, x: str | None, r: int) -> None:
         """Enter an automaton edge; only ε and the grammar's terminals count."""
@@ -197,16 +229,17 @@ class PrestarSession:
     The base automaton is the chain for ``word``; edges added through
     ``try_add`` must have the two generalization shapes: a forward epsilon
     edge (i, ε, j) with i < j, or a backward edge (j-1, w_j, i) with i < j
-    that replays the chain's own label. A tentative edge is committed only
-    if the start symbol still does not span initial to accepting; otherwise
-    the triples and the edge are rolled back exactly.
+    that replays the chain's own label. An edge that a context triple puts
+    in a word of L(g) is rejected by one lookup; any other is committed only
+    if the start symbol still spans no initial-to-accepting pair, and is
+    otherwise rolled back exactly with its triples.
     """
 
     def __init__(self, grammar: Cfg, word: Sequence[str]) -> None:
         self.word = tuple(word)
         self.base = word_automaton(self.word)
         self.edges: list[tuple[int, str | None, int]] = []
-        self._sat = _Saturator(grammar, self.base)
+        self._sat = _Saturator(grammar, self.base, context=True)
         self._sat.saturate()
         self.grammar = self._sat.grammar
 
@@ -246,9 +279,13 @@ class PrestarSession:
         self._validate(edge)
         if edge in self.edges:
             return True
+        src, label, dst = edge
+        sat = self._sat
+        if (label is None or label in sat.terminals) and src in sat.by_start[dst].get(sat.hat[label], ()):
+            return False  # a context triple (dst, label^, src): a word of L(g) uses the edge
         token = self.snapshot()
-        self._sat.add_edge(*edge)
-        if self._sat.saturate(stop_at_goal=True):
+        sat.add_edge(*edge)
+        if sat.saturate(stop_at_goal=True):
             self.rollback(token)
             return False
         self.edges.append(edge)

@@ -371,6 +371,24 @@ def test_has_epsilon_is_recorded_once():
     assert eliminate_epsilon(b) is b
 
 
+def test_intersect_and_complement_record_that_they_have_no_epsilon():
+    # both build epsilon-free values, so they record it instead of a later scan
+    rng = random.Random(33)
+    samples = _sample_automata()
+    for _ in range(60):
+        a, b = rng.choice(samples), rng.choice(samples)
+        for out in (intersect(a, b), complement(a, ("a", "b"))):
+            assert vars(out)["_has_epsilon"] is False
+            assert all(x is not None for _, x, _ in out.transitions)
+            assert eliminate_epsilon(out) is out
+            plain = _fresh(out)
+            assert out == plain and hash(out) == hash(plain) and _marks(plain) == {}
+            for clone in (pickle.loads(pickle.dumps(out)), copy.copy(out), copy.deepcopy(out)):
+                assert clone == out and hash(clone) == hash(out)
+                assert _marks(clone) == _marks(out)
+            assert _marks(dataclasses.replace(out)) == {}
+
+
 def test_complement_recognizes_the_complement_with_a_sink():
     alphabet = ("a", "b")
     for a in _sample_automata():

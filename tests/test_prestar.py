@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cflsep.grammar import GrammarError, normalize
 from cflsep.grammar_io import parse_file
 from cflsep.nfa import word_automaton
-from cflsep.prestar import PrestarSession, _rules, _Saturator, in_language, intersects, prestar
+from cflsep.prestar import PrestarSession, _context, _rules, _Saturator, in_language, intersects, prestar
 from cflsep.refinement import gen_language, StarGeneralization
 
 from oracles import accepts, enumerate_accepted, enumerate_words, prestar_triples
@@ -147,6 +147,16 @@ def test_session_revert_is_exact():
     assert list(session.edges) == edges_before
 
 
+def _fresh_context(g, a):
+    """A fresh saturation of g's augmented grammar over ``a``, with the session's seed."""
+    aug, _, hat = _context(g)
+    sat = _Saturator(aug, a)
+    for f in a.accepting:
+        sat.add(f, hat[aug.start], a.initial)
+    sat.saturate()
+    return set(sat.journal)
+
+
 def test_session_matches_fresh_prestar_after_rejections():
     rng = random.Random(88)
     word = ("a", "a", "b")
@@ -165,7 +175,13 @@ def test_session_matches_fresh_prestar_after_rejections():
         fresh = _Saturator(session.grammar, a)
         fresh.saturate()
         triples, from_start, from_end = _views(session._sat)
-        assert triples == from_start == from_end == set(fresh.journal)
+        assert triples == from_start == from_end
+        own = set(session.grammar.variables) | set(session.grammar.terminals) | {None}
+        assert {tr for tr in triples if tr[1] in own} == set(fresh.journal)
+        # the context triples are those of the augmented grammar, seeded alike
+        context = _fresh_context(g, a)
+        assert {tr for tr in triples if tr[1] not in own} == context - set(fresh.journal)
+        assert triples == context
 
 
 def _rows(rows):
@@ -174,13 +190,8 @@ def _rows(rows):
     return [{x: frozenset(states) for x, states in row.items() if states} for row in rows]
 
 
-def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch):
-    session = PrestarSession(AIBI1, ("a", "a", "b"))
-    for edge in [(0, None, 1), (2, None, 3), (1, None, 3), (0, None, 3), (0, "a", 0), (1, "a", 1)]:
-        assert session.try_add(edge)
-    sat = session._sat
-    before = (list(sat.journal), sat.done, _rows(sat.by_start), _rows(sat.by_end))
-    assert not sat.goal_met
+def _spy_on_revert(monkeypatch, sat):
+    """Record (done, journal length) at each call of ``sat.revert``."""
     at_revert = []
     revert = sat.revert
 
@@ -189,24 +200,58 @@ def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch
         revert(mark)
 
     monkeypatch.setattr(sat, "revert", spy)
-    assert not session.try_add((2, "b", 2))  # would accept "abb" (in L)
+    return at_revert
+
+
+ABABAB = grammar('grammar G { start S; S -> "a" "b" "a" "b" "a" "b"; }')
+
+
+def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch):
+    session = PrestarSession(ABABAB, ("a", "b"))
+    for edge in [(0, None, 1), (1, None, 2), (0, "a", 0), (1, "b", 1)]:
+        assert session.try_add(edge)
+    sat = session._sat
+    before = (list(sat.journal), sat.done, _rows(sat.by_start), _rows(sat.by_end))
+    assert not sat.goal_met
+    at_revert = _spy_on_revert(monkeypatch, sat)
+    # "ababab" needs the edge twice, so no context triple catches it: the
+    # lookup misses and the saturation rejects
+    assert 1 not in sat.by_start[0].get(sat.hat["b"], ())
+    assert not session.try_add((1, "b", 0))
     (done, derived), = at_revert
     assert done < derived  # the goal was met with worklist entries left
     assert (list(sat.journal), sat.done, _rows(sat.by_start), _rows(sat.by_end)) == before
     assert not sat.goal_met
     # the fixpoint with the rejected edge holds more triples than were derived
     rejected = session.automaton()
-    full = _Saturator(session.grammar, replace(rejected, transitions=rejected.transitions | {(2, "b", 2)}))
+    full = _Saturator(
+        session.grammar, replace(rejected, transitions=rejected.transitions | {(1, "b", 0)}), context=True
+    )
     full.saturate()
     assert derived < len(full.journal)
     # later accepted edges give the same triples as a fresh saturation
-    for edge in [(1, "a", 0), (2, "b", 1), (2, "b", 0)]:
+    assert session.try_add((0, None, 2))
+    assert _views(sat) == (_fresh_context(ABABAB, session.automaton()),) * 3
+
+
+def test_caught_rejection_touches_nothing(monkeypatch):
+    session = PrestarSession(AIBI1, ("a", "a", "b"))
+    for edge in [(0, None, 1), (2, None, 3), (1, None, 3), (0, None, 3), (0, "a", 0), (1, "a", 1)]:
         assert session.try_add(edge)
-    a = session.automaton()
-    fresh = _Saturator(session.grammar, a)
-    fresh.saturate()
-    triples, from_start, from_end = _views(sat)
-    assert triples == from_start == from_end == set(fresh.journal)
+    sat = session._sat
+    before = (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end))
+    at_revert = _spy_on_revert(monkeypatch, sat)
+    # (2, b^, 2): "a" leads to 2 and "b" from 2 to the end, and S =>* a b b
+    assert 2 in sat.by_start[2][sat.hat["b"]]
+    assert not session.try_add((2, "b", 2))
+    assert at_revert == []
+    assert (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end)) == before
+    assert not sat.goal_met and (2, "b", 2) not in session.edges
+    # the same for an epsilon edge, caught by the hole: "b" is in L
+    assert 1 in sat.by_start[2][sat.hat[None]]
+    assert not session.try_add((1, None, 2))
+    assert at_revert == []
+    assert (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end)) == before
 
 
 @st.composite
@@ -228,15 +273,82 @@ def test_kernel_matches_reference_fixpoint(pair):
 
 def test_each_grammar_fills_one_rule_index_slot():
     # intersects, in_language and sessions share the index of the grammar
-    # they are given, and do not key a second one by its normal form
+    # they are given, and do not key a second one by its normal form; a
+    # session also fills one slot of _context, for its augmented grammar,
+    # whose index is not keyed in _rules
     g = grammar('grammar G { start S; S -> "a" S "b" | "c"; }')
     assert normalize(g) != g
     _rules.cache_clear()
+    _context.cache_clear()
     assert intersects(g, word_automaton(("a", "c", "b")))
     assert not in_language(g, ("a", "c"))
+    assert _context.cache_info().currsize == 0
     session = PrestarSession(g, ("c", "b"))
     assert session.try_add((0, None, 1)) and not session.try_add((1, None, 2))  # "b", then "c"
+    assert PrestarSession(g, ("a",)).try_add((0, "a", 0))
     assert _rules.cache_info().currsize == 1
+    assert _context.cache_info().currsize == 1
+    # ten grammars, as one query may hand in, each classified and then
+    # generalized: after the first round neither cache misses
+    tails = [' "c"' * i for i in range(1, 11)]
+    grammars = [grammar(f'grammar G {{ start S; S -> "a" S "b" |{tail}; }}') for tail in tails]
+    for round_ in range(2):
+        misses = _rules.cache_info().misses, _context.cache_info().misses
+        for h in grammars:
+            assert not in_language(h, ("a",))
+            assert PrestarSession(h, ("a",)).try_add((0, "a", 0))
+        if round_:
+            assert (_rules.cache_info().misses, _context.cache_info().misses) == misses
+
+
+@st.composite
+def session_runs(draw):
+    """A random grammar, a word outside or inside its language, and a sequence
+    of generalization edges of both shapes, each with a rollback flag."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
+    word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
+    spans = [(i, j) for i in range(len(word) + 1) for j in range(i + 1, len(word) + 1)]
+    steps = []
+    for _ in range(rng.randint(0, 12) if spans else 0):
+        i, j = rng.choice(spans)
+        edge = (i, None, j) if rng.random() < 0.5 else (j - 1, word[j - 1], i)
+        steps.append((edge, rng.random() < 0.2))
+    return random_cfg(rng), word, steps
+
+
+@given(session_runs())
+@settings(max_examples=150, deadline=None)
+def test_try_add_agrees_with_a_fresh_intersection(run):
+    # whether the lookup or the saturation answers, every answer is the one a
+    # fresh emptiness test gives for the committed edges plus the new one
+    g, word, steps = run
+    session = PrestarSession(g, word)
+    for edge, undo in steps:
+        a = session.automaton()
+        token = session.snapshot()
+        expected = not intersects(g, replace(a, transitions=a.transitions | {edge}))
+        assert session.try_add(edge) == expected
+        if undo:  # as the maximal walks do between siblings
+            session.rollback(token)
+            assert session.automaton() == a
+    assert _views(session._sat) == (_fresh_context(g, session.automaton()),) * 3
+
+
+def test_chain_labels_spelled_like_grammar_names_stay_foreign():
+    # Ab's nonterminal T and the hat and hole names of its augmentation label
+    # chain edges here; they are not Ab's terminals, so a backward edge on them
+    # adds nothing and is accepted, as it was before context triples
+    _, ab = parse_file(NAME_CLASH)
+    _, _, hat = _context(ab)
+    for label in ("T", hat["T"], hat["a"], hat[None]):
+        session = PrestarSession(ab, ("a", label))
+        assert session.try_add((0, None, 2))  # ε is not in L(Ab)
+        # (0, T^, 1): "a" leads to 1, ε from 0 to the end, and T =>* a T;
+        # a lookup keyed by the label would reject the edge
+        assert 1 in session._sat.by_start[0][hat["T"]]
+        assert session.try_add((1, label, 0))
+        assert session.try_add((1, label, 1))
+        assert not session.intersects()
 
 
 def test_session_validates_edge_shapes():
