@@ -23,8 +23,9 @@ form and rule indexes are built once per ``Cfg`` value and shared read-only.
 A PrestarSession also derives context triples, seeded with (accepting, S^,
 initial): (r, X^, q) means some u leads from the initial state to q, some v
 from r to an accepting state, and S =>* u X v, with ε^ the hole. So (r, x^, q)
-rejects the edge (q, x, r) by one lookup; other edges are saturated up to the
-goal and kept or truncated back. Sessions are single-owner mutable values.
+rejects the edge (q, x, r), and any batch of edges holding it, by one lookup;
+other batches are saturated up to the goal and kept or truncated back whole.
+Sessions are single-owner mutable values.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .grammar import Cfg, GrammarError, Production, fresh_name, is_normal_form, normalize, nt
 from .nfa import Nfa, eliminate_epsilon, trim, word_automaton
@@ -224,21 +225,24 @@ def in_language(g: Cfg, word: Sequence[str]) -> bool:
 
 
 class PrestarSession:
-    """Incremental intersection-emptiness over a growing word automaton.
+    """Incremental intersection-emptiness over a growing automaton.
 
-    The base automaton is the chain for ``word``; edges added through
-    ``try_add`` must have the two generalization shapes: a forward epsilon
-    edge (i, ε, j) with i < j, or a backward edge (j-1, w_j, i) with i < j
-    that replays the chain's own label. An edge that a context triple puts
-    in a word of L(g) is rejected by one lookup; any other is committed only
-    if the start symbol still spans no initial-to-accepting pair, and is
-    otherwise rolled back exactly with its triples.
+    The session saturates its ``base`` automaton once (a word stands for its
+    chain automaton) and then takes batches of edges between the base's
+    states through ``try_add``, all or nothing. A batch with an edge that a
+    context triple puts in a word of L(g) is rejected by one lookup per edge;
+    any other is added whole and committed only if the start symbol still
+    spans no initial-to-accepting pair, and is otherwise rolled back exactly
+    with its triples. Over a word, every edge must have one of the two
+    epsilon-generalization shapes: a forward epsilon edge (i, ε, j) with
+    i < j, or a backward edge (j-1, w_j, i) with i < j that replays the
+    chain's own label.
     """
 
-    def __init__(self, grammar: Cfg, word: Sequence[str]) -> None:
-        self.word = tuple(word)
-        self.base = word_automaton(self.word)
-        self.edges: list[tuple[int, str | None, int]] = []
+    def __init__(self, grammar: Cfg, base: Nfa | Sequence[str]) -> None:
+        self.word = None if isinstance(base, Nfa) else tuple(base)
+        self.base = base if self.word is None else word_automaton(self.word)
+        self.edges: list[tuple[tuple[int, str | None, int], ...]] = []  # committed batches
         self._sat = _Saturator(grammar, self.base, context=True)
         self._sat.saturate()
         self.grammar = self._sat.grammar
@@ -260,9 +264,11 @@ class PrestarSession:
 
     def _validate(self, edge: tuple[int, str | None, int]) -> None:
         src, label, dst = edge
-        n = len(self.word)
-        if not (0 <= src <= n and 0 <= dst <= n):
+        if not (0 <= src < self.base.num_states and 0 <= dst < self.base.num_states):
             raise GrammarError(f"edge endpoints out of range: {edge}")
+        if self.word is None:
+            return
+        n = len(self.word)
         if label is None:
             if not src < dst:
                 raise GrammarError(f"epsilon edges must point forward: {edge}")
@@ -274,23 +280,24 @@ class PrestarSession:
             if dst > src:
                 raise GrammarError(f"labeled edges must point backward: {edge}")
 
-    def try_add(self, edge: tuple[int, str | None, int]) -> bool:
-        """Tentatively add one generalization edge; report acceptance."""
-        self._validate(edge)
-        if edge in self.edges:
-            return True
-        src, label, dst = edge
+    def try_add(self, batch: Iterable[tuple[int, str | None, int]]) -> bool:
+        """Tentatively add a batch of edges; report acceptance."""
+        batch = tuple(batch)
+        for edge in batch:
+            self._validate(edge)
         sat = self._sat
-        if (label is None or label in sat.terminals) and src in sat.by_start[dst].get(sat.hat[label], ()):
-            return False  # a context triple (dst, label^, src): a word of L(g) uses the edge
+        for src, label, dst in batch:
+            if (label is None or label in sat.terminals) and src in sat.by_start[dst].get(sat.hat[label], ()):
+                return False  # a context triple (dst, label^, src): a word of L(g) uses the edge
         token = self.snapshot()
-        sat.add_edge(*edge)
+        for edge in batch:
+            sat.add_edge(*edge)
         if sat.saturate(stop_at_goal=True):
             self.rollback(token)
             return False
-        self.edges.append(edge)
+        self.edges.append(batch)
         return True
 
     def automaton(self) -> Nfa:
-        """Base chain plus every committed edge."""
-        return replace(self.base, transitions=self.base.transitions | frozenset(self.edges))
+        """Base automaton plus every committed edge."""
+        return replace(self.base, transitions=self.base.transitions.union(*self.edges))

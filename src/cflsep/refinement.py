@@ -8,6 +8,12 @@ generalization). Both run one depth-first include/exclude walk over a fixed
 candidate order, include branch first, whose leaves are the valid
 generalizations. The greedy variants take its first leaf; the maximum
 variants union its subset-maximal leaves, within a node budget.
+
+Each walk tries its candidates on one incremental PrestarSession: an epsilon
+candidate is a one-edge batch on the chain automaton, and a star range is the
+batch of edges that starring it adds to the word's position automaton, whose
+states do not depend on the ranges. The base saturation decides whether the
+witness is in the language at all.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from typing import Callable, Iterator, Sequence
 
 from .grammar import Cfg, GrammarError
 from .nfa import Nfa, union
-from .prestar import PrestarSession, in_language, intersects
+from .prestar import PrestarSession
+from .prestar import intersects  # noqa: F401  unused; bench/tracer.py patches refinement.intersects
 
 DEFAULT_BUDGET = 10**6
 
@@ -55,74 +62,49 @@ class StarGeneralization:
 
 
 def gen_language(sg: StarGeneralization) -> Nfa:
-    """Automaton for the word with every range made unboundedly repeatable.
+    """Position automaton of the word with every range made unboundedly
+    repeatable (Glushkov 1961; McNaughton & Yamada 1960).
 
-    Built innermost-outward: a nested range stars the already-starred
-    segment, so ("aab", {(0,1),(1,3),(0,3)}) yields the same language as
-    the expression (a*(ab)*)*.
+    A nested range stars the already-starred segment, so ("aab",
+    {(0,1),(1,3),(0,3)}) yields the language of (a*(ab)*)*. State 0 is
+    initial, state p is "after the p-th letter" (every labelled edge into p
+    reads ``word[p-1]``), and ε edges lead from each last position, and from
+    0 when the expression is nullable, to the one accepting state n+1. So the
+    states never change, and a range that crosses none of ``R`` only adds
+    edges: ``gen_language(R).transitions ⊆ gen_language(R ∪ {r}).transitions``.
+    Built without recursion, ranges by increasing span.
     """
-    word = sg.word
-    transitions: list[tuple[int, str | None, int]] = []
-    counter = [0]
+    word, n = sg.word, len(sg.word)
+    edges: set[tuple[int, str | None, int]] = set()
+    # built ranges not yet inside a built range, by start: (end, nullable, first, last)
+    pending: dict[int, tuple[int, bool, set[int], set[int]]] = {}
 
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def starred(lo: int, hi: int, inner: list[tuple[int, int]]) -> tuple[int, int]:
-        s, e = segment(lo, hi, inner)
-        ns, ne = fresh(), fresh()
-        transitions.extend([(ns, None, s), (e, None, ne), (ns, None, ne), (e, None, s)])
-        return ns, ne
-
-    def segment(lo: int, hi: int, ranges: list[tuple[int, int]]) -> tuple[int, int]:
-        maximal = [
-            r
-            for r in ranges
-            if not any(o != r and o[0] <= r[0] and r[1] <= o[1] for o in ranges)
-        ]
-        start_at = {r[0]: r for r in maximal}
-        s = fresh()
-        cur = s
-        pos = lo
+    def concat(lo: int, hi: int, last: set[int]) -> tuple[set[int], set[int]]:
+        # joins the letters and pending ranges of [lo, hi) after the positions
+        # ``last``, adding the follow edges; returns the segment's first
+        # positions and the last positions of the whole
+        nullable, first, pos = True, set(), lo
         while pos < hi:
-            if pos in start_at:
-                i, j = start_at[pos]
-                inner = [r for r in ranges if r != (i, j) and i <= r[0] and r[1] <= j]
-                fs, fe = starred(i, j, inner)
-                transitions.append((cur, None, fs))
-                cur = fe
-                pos = j
-            else:
-                nxt = fresh()
-                transitions.append((cur, word[pos], nxt))
-                cur = nxt
-                pos += 1
-        return s, cur
+            end, c_nullable, c_first, c_last = pending.pop(pos, None) or (pos + 1, False, {pos + 1}, {pos + 1})
+            edges.update((p, word[q - 1], q) for p in last for q in c_first)
+            if nullable:
+                first |= c_first
+            if c_nullable:
+                c_last |= last
+            nullable, last, pos = nullable and c_nullable, c_last, end
+        return first, last
 
-    ranges = sorted(sg.ranges)
-    whole = (0, len(word))
-    if whole in sg.ranges:
-        start, end = starred(0, len(word), [r for r in ranges if r != whole])
-    else:
-        start, end = segment(0, len(word), ranges)
-    alphabet = tuple(dict.fromkeys(word))
-    return Nfa(counter[0], alphabet, frozenset(transitions), start, frozenset({end}))
+    for lo, hi in sorted(sg.ranges, key=lambda r: r[1] - r[0]):
+        first, last = concat(lo, hi, set())
+        edges.update((p, word[q - 1], q) for p in last for q in first)
+        pending[lo] = (hi, True, first, last)
+    _, last = concat(0, n, {0})  # state 0 precedes the first positions
+    edges.update((p, None, n + 1) for p in last)
+    return Nfa(n + 2, tuple(dict.fromkeys(word)), frozenset(edges), 0, frozenset({n + 1}))
 
 
-def _disjoint(g: Cfg, auto: Nfa) -> bool:
-    return not intersects(g, auto)
-
-
-def _outside(g: Cfg, w: Sequence[str]) -> tuple[str, ...]:
-    w = tuple(w)
-    if in_language(g, w):
-        raise GrammarError("witness is in the language; it cannot be generalized")
-    return w
-
-
-def _eps_session(g: Cfg, w: Sequence[str]) -> PrestarSession:
-    session = PrestarSession(g, w)
+def _session(g: Cfg, base: Nfa | Sequence[str]) -> PrestarSession:
+    session = PrestarSession(g, base)
     if session.intersects():  # the base saturation decides membership
         raise GrammarError("witness is in the language; it cannot be generalized")
     return session
@@ -133,32 +115,42 @@ def _star_candidates(n: int) -> list[tuple[int, int]]:
     return [(i, i + span) for span in range(1, n + 1) for i in range(n - span + 1)]
 
 
-def _eps_candidates(word: tuple[str, ...]) -> list[tuple[int, str | None, int]]:
-    # forward epsilon edges, then label-replaying backward edges, each in
-    # the star ranges' order
+def _eps_candidates(word: tuple[str, ...]) -> list[tuple[tuple[int, str | None, int]]]:
+    # one-edge batches: forward epsilon edges, then label-replaying backward
+    # edges, each in the star ranges' order
     spans = _star_candidates(len(word))
-    return [(i, None, j) for i, j in spans] + [(j - 1, word[j - 1], i) for i, j in spans]
+    return [((i, None, j),) for i, j in spans] + [((j - 1, word[j - 1], i),) for i, j in spans]
 
 
 class _StarSession:
-    """Accepted star ranges of one word, in PrestarSession's protocol."""
+    """Accepted star ranges of one word, in PrestarSession's protocol: a range
+    is tried on one session over the word's position automaton, as the batch
+    of edges that starring it adds to ``gen_language`` of the accepted ones."""
 
     def __init__(self, g: Cfg, w: tuple[str, ...]) -> None:
-        self.word, self.grammar = w, g
+        self.word = w
         self.edges: list[tuple[int, int]] = []
+        base = gen_language(StarGeneralization(w, frozenset()))
+        self.session = _session(g, base)
+        self.built = [base.transitions]  # after each accepted range
 
     def try_add(self, r: tuple[int, int]) -> bool:
-        trial = StarGeneralization(self.word, frozenset(self.edges) | {r})
-        ok = _disjoint(self.grammar, gen_language(trial))
+        built = gen_language(StarGeneralization(self.word, frozenset(self.edges) | {r})).transitions
+        # in a fixed order, not the set's hash order (an edge's ends fix its label)
+        ok = self.session.try_add(sorted(built - self.built[-1], key=lambda e: (e[0], e[2])))
         if ok:
             self.edges.append(r)
+            self.built.append(built)
         return ok
 
-    def snapshot(self) -> int:
-        return len(self.edges)
+    def snapshot(self) -> tuple[tuple[int, int], int]:
+        return self.session.snapshot(), len(self.edges)
 
-    def rollback(self, token: int) -> None:
-        del self.edges[token:]
+    def rollback(self, token: tuple[tuple[int, int], int]) -> None:
+        mark, k = token
+        self.session.rollback(mark)
+        del self.edges[k:]
+        del self.built[k + 1:]
 
 
 def _crosses_any(accepted: Sequence[tuple[int, int]], r: tuple[int, int]) -> bool:
@@ -212,7 +204,7 @@ def star_generalize(w: Sequence[str], g: Cfg) -> StarGeneralization:
     """Greedy maximal star generalization of ``w`` against ``L(g)``: each
     range is tried once, shortest span first, and kept when the language
     still avoids L(g); ranges crossing a kept one are not tried."""
-    w = _outside(g, w)
+    w = tuple(w)
     leaf = next(_walk(_StarSession(g, w), _star_candidates(len(w)), skip=_crosses_any))
     return StarGeneralization(w, leaf)
 
@@ -221,7 +213,7 @@ def eps_generalize(w: Sequence[str], g: Cfg) -> Nfa:
     """Greedy maximal epsilon generalization of ``w`` against ``L(g)``: forward
     epsilon edges (shortest span first), then backward edges, each kept when
     the saturation session shows L(g) still excluded."""
-    session = _eps_session(g, w)
+    session = _session(g, w)
     next(_walk(session, _eps_candidates(session.word)))  # the session now holds the first leaf
     return session.automaton()
 
@@ -229,7 +221,7 @@ def eps_generalize(w: Sequence[str], g: Cfg) -> Nfa:
 def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
     """Union of every valid star generalization of ``w`` against ``L(g)``;
     raises BudgetExceededError once the walk visits more than ``budget`` nodes."""
-    w = _outside(g, w)
+    w = tuple(w)
     candidates = _star_candidates(len(w))
     leaves = _walk(_StarSession(g, w), candidates, budget, _crosses_any)
     return _union_of_maxima(
@@ -239,10 +231,10 @@ def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) 
 
 def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
     """Union of every valid epsilon generalization of ``w`` against ``L(g)``."""
-    session = _eps_session(g, w)
+    session = _session(g, w)
     base = session.base
     candidates = _eps_candidates(session.word)
     leaves = _walk(session, candidates, budget)
     return _union_of_maxima(
-        leaves, candidates, lambda e: replace(base, transitions=base.transitions | e)
+        leaves, candidates, lambda batches: replace(base, transitions=base.transitions.union(*batches))
     )

@@ -4,7 +4,6 @@ per criterion (run with ``pytest -v -s tests/test_acceptance.py``)."""
 import random
 import time
 
-import cflsep.refinement as refinement_module
 from cflsep.approximation import nederhof, sigma_star
 from cflsep.engine import Config, Overlap, Separable, check_disjoint
 from cflsep.grammar import normalize
@@ -204,36 +203,25 @@ def _suite_a_b_c(rng, cases):
         use_star = tested % 2 == 0
         approx = nederhof(g) if tested % 3 else sigma_star(g.terminals)
 
+        # both generalizers try each candidate as one batch on their session
         calls = {"n": 0}
-        if use_star:
-            real = refinement_module._disjoint
+        real_try = PrestarSession.try_add
 
-            def counting(gn, auto):
-                calls["n"] += 1
-                return real(gn, auto)
+        def counting_try(self, batch):
+            calls["n"] += 1
+            return real_try(self, batch)
 
-            refinement_module._disjoint = counting
-            try:
-                gen = gen_language(star_generalize(w, g))
-            finally:
-                refinement_module._disjoint = real
-            budget = len(w) * (len(w) + 1) // 2
-        else:
-            real_try = PrestarSession.try_add
-
-            def counting_try(self, edge):
-                calls["n"] += 1
-                return real_try(self, edge)
-
-            PrestarSession.try_add = counting_try
-            try:
-                gen = eps_generalize(w, g)
-            finally:
-                PrestarSession.try_add = real_try
-            budget = len(w) * (len(w) + 1)
+        PrestarSession.try_add = counting_try
+        try:
+            gen = gen_language(star_generalize(w, g)) if use_star else eps_generalize(w, g)
+        finally:
+            PrestarSession.try_add = real_try
+        budget = len(w) * (len(w) + 1) // (2 if use_star else 1)
 
         if calls["n"] > budget:
             failures.append(f"candidate budget exceeded: {calls['n']} > {budget}")
+        if w and not calls["n"]:
+            failures.append(f"no candidate of {w} reached the session")
         refined = difference(approx, gen)
         if accepts(refined, w):
             failures.append(f"progress violated for witness {w}")

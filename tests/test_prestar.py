@@ -125,22 +125,22 @@ def test_saturation_step_ceiling():
 def test_session_rejects_fig4_backward_edge():
     session = PrestarSession(AIBI1, ("a", "a", "b"))
     for edge in [(0, None, 1), (2, None, 3), (1, None, 3), (0, None, 3)]:
-        assert session.try_add(edge)
-    assert not session.try_add((2, "b", 2))
+        assert session.try_add([edge])
+    assert not session.try_add([(2, "b", 2)])
 
 
 def test_session_accepts_forward_epsilon():
     session = PrestarSession(AIBI1, ("a", "a", "b"))
-    assert session.try_add((0, None, 3))  # the empty word is not in L
+    assert session.try_add([(0, None, 3)])  # the empty word is not in L
 
 
 def test_session_revert_is_exact():
     session = PrestarSession(AIBI1, ("a", "a", "b"))
-    assert session.try_add((0, None, 1))
+    assert session.try_add([(0, None, 1)])
     journal_before = list(session._sat.journal)
     views_before = _views(session._sat)
     edges_before = list(session.edges)
-    assert not session.try_add((1, None, 2))  # would accept "b" (in L)
+    assert not session.try_add([(1, None, 2)])  # would accept "b" (in L)
     assert session._sat.journal == journal_before
     assert session._sat.done == len(journal_before)
     assert _views(session._sat) == views_before
@@ -167,7 +167,7 @@ def test_session_matches_fresh_prestar_after_rejections():
         session = PrestarSession(g, word)
         edges = [(0, None, 1), (1, None, 2), (0, None, 3), (1, "a", 0), (2, "b", 1)]
         for e in edges:
-            session.try_add(e)
+            session.try_add([e])
         # differential check: the incremental result equals a fresh run,
         # triple for triple, and all three views hold the same triples
         assert session.intersects() == intersects(g, session.automaton())
@@ -209,7 +209,7 @@ ABABAB = grammar('grammar G { start S; S -> "a" "b" "a" "b" "a" "b"; }')
 def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch):
     session = PrestarSession(ABABAB, ("a", "b"))
     for edge in [(0, None, 1), (1, None, 2), (0, "a", 0), (1, "b", 1)]:
-        assert session.try_add(edge)
+        assert session.try_add([edge])
     sat = session._sat
     before = (list(sat.journal), sat.done, _rows(sat.by_start), _rows(sat.by_end))
     assert not sat.goal_met
@@ -217,7 +217,7 @@ def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch
     # "ababab" needs the edge twice, so no context triple catches it: the
     # lookup misses and the saturation rejects
     assert 1 not in sat.by_start[0].get(sat.hat["b"], ())
-    assert not session.try_add((1, "b", 0))
+    assert not session.try_add([(1, "b", 0)])
     (done, derived), = at_revert
     assert done < derived  # the goal was met with worklist entries left
     assert (list(sat.journal), sat.done, _rows(sat.by_start), _rows(sat.by_end)) == before
@@ -230,26 +230,26 @@ def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch
     full.saturate()
     assert derived < len(full.journal)
     # later accepted edges give the same triples as a fresh saturation
-    assert session.try_add((0, None, 2))
+    assert session.try_add([(0, None, 2)])
     assert _views(sat) == (_fresh_context(ABABAB, session.automaton()),) * 3
 
 
 def test_caught_rejection_touches_nothing(monkeypatch):
     session = PrestarSession(AIBI1, ("a", "a", "b"))
     for edge in [(0, None, 1), (2, None, 3), (1, None, 3), (0, None, 3), (0, "a", 0), (1, "a", 1)]:
-        assert session.try_add(edge)
+        assert session.try_add([edge])
     sat = session._sat
     before = (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end))
     at_revert = _spy_on_revert(monkeypatch, sat)
     # (2, b^, 2): "a" leads to 2 and "b" from 2 to the end, and S =>* a b b
     assert 2 in sat.by_start[2][sat.hat["b"]]
-    assert not session.try_add((2, "b", 2))
+    assert not session.try_add([(2, "b", 2)])
     assert at_revert == []
     assert (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end)) == before
-    assert not sat.goal_met and (2, "b", 2) not in session.edges
+    assert not sat.goal_met and ((2, "b", 2),) not in session.edges
     # the same for an epsilon edge, caught by the hole: "b" is in L
     assert 1 in sat.by_start[2][sat.hat[None]]
-    assert not session.try_add((1, None, 2))
+    assert not session.try_add([(1, None, 2)])
     assert at_revert == []
     assert (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end)) == before
 
@@ -284,8 +284,8 @@ def test_each_grammar_fills_one_rule_index_slot():
     assert not in_language(g, ("a", "c"))
     assert _context.cache_info().currsize == 0
     session = PrestarSession(g, ("c", "b"))
-    assert session.try_add((0, None, 1)) and not session.try_add((1, None, 2))  # "b", then "c"
-    assert PrestarSession(g, ("a",)).try_add((0, "a", 0))
+    assert session.try_add([(0, None, 1)]) and not session.try_add([(1, None, 2)])  # "b", then "c"
+    assert PrestarSession(g, ("a",)).try_add([(0, "a", 0)])
     assert _rules.cache_info().currsize == 1
     assert _context.cache_info().currsize == 1
     # ten grammars, as one query may hand in, each classified and then
@@ -296,7 +296,7 @@ def test_each_grammar_fills_one_rule_index_slot():
         misses = _rules.cache_info().misses, _context.cache_info().misses
         for h in grammars:
             assert not in_language(h, ("a",))
-            assert PrestarSession(h, ("a",)).try_add((0, "a", 0))
+            assert PrestarSession(h, ("a",)).try_add([(0, "a", 0)])
         if round_:
             assert (_rules.cache_info().misses, _context.cache_info().misses) == misses
 
@@ -327,7 +327,7 @@ def test_try_add_agrees_with_a_fresh_intersection(run):
         a = session.automaton()
         token = session.snapshot()
         expected = not intersects(g, replace(a, transitions=a.transitions | {edge}))
-        assert session.try_add(edge) == expected
+        assert session.try_add([edge]) == expected
         if undo:  # as the maximal walks do between siblings
             session.rollback(token)
             assert session.automaton() == a
@@ -342,23 +342,45 @@ def test_chain_labels_spelled_like_grammar_names_stay_foreign():
     _, _, hat = _context(ab)
     for label in ("T", hat["T"], hat["a"], hat[None]):
         session = PrestarSession(ab, ("a", label))
-        assert session.try_add((0, None, 2))  # ε is not in L(Ab)
+        assert session.try_add([(0, None, 2)])  # ε is not in L(Ab)
         # (0, T^, 1): "a" leads to 1, ε from 0 to the end, and T =>* a T;
         # a lookup keyed by the label would reject the edge
         assert 1 in session._sat.by_start[0][hat["T"]]
-        assert session.try_add((1, label, 0))
-        assert session.try_add((1, label, 1))
+        assert session.try_add([(1, label, 0)])
+        assert session.try_add([(1, label, 1)])
         assert not session.intersects()
 
 
 def test_session_validates_edge_shapes():
     session = PrestarSession(AIBI1, ("a", "a", "b"))
     with pytest.raises(GrammarError):
-        session.try_add((2, None, 1))  # epsilon must go forward
+        session.try_add([(2, None, 1)])  # epsilon must go forward
     with pytest.raises(GrammarError):
-        session.try_add((2, "a", 1))  # wrong label: chain reads b at 2
+        session.try_add([(2, "a", 1)])  # wrong label: chain reads b at 2
     with pytest.raises(GrammarError):
-        session.try_add((0, "a", 2))  # labeled edge must go backward
+        session.try_add([(0, "a", 2)])  # labeled edge must go backward
+
+
+def test_batches_over_a_base_automaton_are_all_or_nothing():
+    base = word_automaton(("a", "a", "b"))
+    session = PrestarSession(AIBI1, base)
+    sat = session._sat
+    before = (list(sat.journal), _rows(sat.by_start), _rows(sat.by_end))
+    # each edge alone keeps L(AIBI1) out; together they accept "b"
+    assert not session.try_add([(0, None, 1), (1, None, 2)])
+    assert session.edges == [] and session.automaton() == base
+    assert (list(sat.journal), _rows(sat.by_start), _rows(sat.by_end)) == before
+    assert session.try_add([(0, None, 1)])
+    # now a context triple (2, H, 1) catches the other edge, whatever else the batch holds
+    assert 1 in sat.by_start[2][sat.hat[None]]
+    assert not session.try_add([(3, "b", 3), (1, None, 2)])
+    assert session.edges == [((0, None, 1),)]
+    # the epsilon-generalization shapes bind only a session over a word
+    backward = [(2, None, 1)]
+    expected = not intersects(AIBI1, replace(base, transitions=base.transitions | {(0, None, 1), (2, None, 1)}))
+    assert session.try_add(backward) == expected
+    with pytest.raises(GrammarError):
+        session.try_add([(0, None, 4)])  # no state 4
 
 
 def test_intersects_agrees_with_brute_force():

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import os
 import random
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cflsep.refinement as refinement
 from cflsep.grammar import GrammarError
@@ -14,6 +17,7 @@ from cflsep.prestar import PrestarSession, in_language, intersects
 from cflsep.refinement import (
     BudgetExceededError,
     StarGeneralization,
+    _crosses,
     eps_generalize,
     gen_language,
     max_eps_generalize,
@@ -91,6 +95,67 @@ def test_gen_language_rejects_bad_ranges():
         StarGeneralization(("a", "b", "a", "b"), frozenset({(0, 2), (1, 3)}))
 
 
+def test_gen_language_deep_nests_have_no_recursion_limit():
+    # far deeper than Python's recursion limit: {(0,k)} on a^1200 (a* with
+    # n^2/2 follow edges) and 3,000 stars centred on a^6000 (linear in size)
+    n = 1200
+    gen = gen_language(StarGeneralization(("a",) * n, frozenset((0, k) for k in range(1, n + 1))))
+    assert gen.num_states == n + 2
+    assert accepts(gen, ()) and accepts(gen, ("a", "a", "a"))
+    n = 6000
+    gen = gen_language(StarGeneralization(("a",) * n, frozenset((k, n - k) for k in range(n // 2))))
+    assert [m for m in range(12) if accepts(gen, ("a",) * m)] == [0, 2, 4, 6, 8, 10]
+
+
+def _star_regex(word, ranges, lo, hi):
+    """The expression of ``word[lo:hi]`` with its ranges starred, (lo, hi)
+    itself not included; recursive, for short words only."""
+    inner = [r for r in ranges if lo <= r[0] and r[1] <= hi and r != (lo, hi)]
+    outermost = {r[0]: r for r in inner if not any(o != r and o[0] <= r[0] and r[1] <= o[1] for o in inner)}
+    parts, pos = [], lo
+    while pos < hi:
+        if pos in outermost:
+            i, j = outermost[pos]
+            parts.append(star(_star_regex(word, ranges, i, j)))
+            pos = j
+        else:
+            parts.append(lit(word[pos]))
+            pos += 1
+    return cat(*parts)
+
+
+@st.composite
+def laminar_families(draw):
+    """A word of up to 6 letters and a laminar list of its ranges."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
+    word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 6)))
+    spans = refinement._star_candidates(len(word))
+    rng.shuffle(spans)
+    ranges = []
+    for r in spans[: rng.randint(0, len(spans))]:
+        if not any(_crosses(r, a) for a in ranges):
+            ranges.append(r)
+    return rng, word, ranges
+
+
+@given(laminar_families())
+@settings(max_examples=200, deadline=None)
+def test_gen_language_edges_grow_with_the_ranges(family):
+    # the invariant the star session rests on: over laminar R ⊆ R', the
+    # states are the same and R's edges are a subset of R''s
+    rng, word, ranges = family
+    bigger = gen_language(StarGeneralization(word, frozenset(ranges)))
+    smaller = gen_language(StarGeneralization(word, frozenset(r for r in ranges if rng.random() < 0.5)))
+    assert smaller.transitions <= bigger.transitions
+    assert (smaller.num_states, smaller.initial, smaller.accepting) == (
+        bigger.num_states, bigger.initial, bigger.accepting,
+    )
+    expected = _star_regex(word, ranges, 0, len(word))
+    if (0, len(word)) in ranges:
+        expected = star(expected)
+    assert equivalent(bigger, regex_to_nfa(expected))
+
+
 # --- star_generalize ----------------------------------------------------------
 
 
@@ -106,15 +171,16 @@ def test_star_candidate_order():
 
 
 def test_star_generalize_accepts_and_rejects_in_trace_order(monkeypatch):
+    # each candidate range is one batch on the star session
     outcomes = []
-    real = refinement._disjoint
+    real = PrestarSession.try_add
 
-    def spy(gn, auto):
-        result = real(gn, auto)
+    def spy(self, batch):
+        result = real(self, batch)
         outcomes.append(result)
         return result
 
-    monkeypatch.setattr(refinement, "_disjoint", spy)
+    monkeypatch.setattr(PrestarSession, "try_add", spy)
     star_generalize(AAB, AIBI1)
     # include (0,1); exclude (1,2), (2,3), (0,2); include (1,3), (0,3)
     assert outcomes == [True, False, False, False, True, True]
@@ -141,16 +207,53 @@ def test_star_generalize_precondition():
 
 def test_star_generalize_test_budget(monkeypatch):
     counter = {"n": 0}
-    real = refinement._disjoint
+    real = PrestarSession.try_add
 
-    def counting(gn, auto):
+    def counting(self, batch):
         counter["n"] += 1
-        return real(gn, auto)
+        return real(self, batch)
 
-    monkeypatch.setattr(refinement, "_disjoint", counting)
+    monkeypatch.setattr(PrestarSession, "try_add", counting)
     n = len(AAB)
     star_generalize(AAB, AIBI1)
-    assert counter["n"] <= n * (n + 1) // 2
+    assert 0 < counter["n"] <= n * (n + 1) // 2
+
+
+@st.composite
+def star_session_runs(draw):
+    """A random grammar, a word of up to 4 letters, and candidate ranges,
+    each with a rollback flag."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
+    word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
+    spans = refinement._star_candidates(len(word))
+    steps = [(rng.choice(spans), rng.random() < 0.3) for _ in range(rng.randint(0, 10) if spans else 0)]
+    return random_cfg(rng), word, steps
+
+
+@given(star_session_runs())
+@settings(max_examples=150, deadline=None)
+def test_star_session_agrees_with_a_fresh_intersection(run):
+    # every answer of the incremental session is the one a fresh emptiness
+    # test gives for the starred language, across rollbacks
+    g, word, steps = run
+    if in_language(g, word):
+        with pytest.raises(GrammarError):
+            refinement._StarSession(g, word)
+        return
+    session = refinement._StarSession(g, word)
+    for r, undo in steps:
+        if r in session.edges or any(_crosses(r, a) for a in session.edges):
+            continue  # the walk never tries these
+        accepted = list(session.edges)
+        token = session.snapshot()
+        expected = not intersects(g, gen_language(StarGeneralization(word, frozenset(accepted) | {r})))
+        assert session.try_add(r) == expected
+        held = gen_language(StarGeneralization(word, frozenset(session.edges)))
+        assert session.session.automaton() == held
+        if undo:  # as the maximal walks do between siblings
+            session.rollback(token)
+            assert session.edges == accepted
+            assert session.session.automaton() == gen_language(StarGeneralization(word, frozenset(accepted)))
 
 
 # --- eps_generalize -----------------------------------------------------------
@@ -168,10 +271,10 @@ def test_eps_generalize_accepts_edges_in_candidate_order(monkeypatch):
     accepted = []
     real = PrestarSession.try_add
 
-    def spy(self, edge):
-        ok = real(self, edge)
+    def spy(self, batch):
+        ok = real(self, batch)
         if ok:
-            accepted.append(edge)
+            accepted.extend(batch)
         return ok
 
     monkeypatch.setattr(PrestarSession, "try_add", spy)
@@ -205,12 +308,18 @@ def test_eps_generalize_empty_witness():
     assert enumerate_accepted(gen, 3) == frozenset({()})
 
 
+def _refuse_fresh_checks(monkeypatch):
+    def refuse(g, a):
+        raise AssertionError("separate membership or emptiness check")
+
+    assert not hasattr(refinement, "in_language")
+    monkeypatch.setattr(importlib.import_module("cflsep.prestar"), "in_language", refuse)
+    monkeypatch.setattr(refinement, "intersects", refuse)
+
+
 def test_eps_generalizers_read_membership_off_the_session(monkeypatch):
     # the session's base saturation is the precondition check; no second one
-    def refuse(g, w):
-        raise AssertionError("separate membership check")
-
-    monkeypatch.setattr(refinement, "in_language", refuse)
+    _refuse_fresh_checks(monkeypatch)
     assert eps_generalize(AAB, AIBI1) is not None
     assert max_eps_generalize(AIBI1, AAB) is not None
     for generalize in (eps_generalize, lambda w, g: max_eps_generalize(g, w)):
@@ -218,18 +327,29 @@ def test_eps_generalizers_read_membership_off_the_session(monkeypatch):
             generalize(("b",), AIBI1)  # "b" is in the language
 
 
+def test_star_generalizers_run_on_one_session(monkeypatch):
+    # membership is read off the base saturation of the position automaton,
+    # and every candidate range is a batch on the same session
+    _refuse_fresh_checks(monkeypatch)
+    assert star_generalize(AAB, AIBI1).ranges == GEN_AAB_RANGES
+    assert max_star_generalize(AIBI1, AAB) is not None
+    for generalize in (star_generalize, lambda w, g: max_star_generalize(g, w)):
+        with pytest.raises(GrammarError):
+            generalize(("b",), AIBI1)
+
+
 def test_eps_generalize_edge_budget(monkeypatch):
     session_calls = {"n": 0}
     original = PrestarSession.try_add
 
-    def counting(self, edge):
+    def counting(self, batch):
         session_calls["n"] += 1
-        return original(self, edge)
+        return original(self, batch)
 
     monkeypatch.setattr(PrestarSession, "try_add", counting)
     n = len(AAB)
     eps_generalize(AAB, AIBI1)
-    assert session_calls["n"] <= n * (n + 1)
+    assert 0 < session_calls["n"] <= n * (n + 1)
 
 
 # --- refining an approximation (difference) ---------------------------------
