@@ -9,7 +9,8 @@ epsilon edges. This is not a caching layer: both are booleans about an
 immutable value, they take no part in ``==`` and ``hash``, and no index is
 kept (every walk builds its own ``_successors``). Labels are terminal names
 (arbitrary strings) or ``None`` for epsilon. Determinization only happens
-inside complement/difference; everything else stays nondeterministic.
+inside complement/difference, which returns the trimmed minimal DFA of a
+deterministic product; everything else stays nondeterministic.
 """
 
 from __future__ import annotations
@@ -146,6 +147,63 @@ def trim(a: Nfa) -> Nfa:
     return a
 
 
+def minimize(a: Nfa) -> Nfa:
+    """The trimmed minimal DFA of ``L(a)`` if ``a`` is an epsilon-free DFA,
+    else ``trim(a)``.
+
+    A backward reach from the accepting states finds the dead states; a
+    missing edge counts as an edge to them. Moore's partition refinement
+    merges equivalent states, and the classes are numbered breadth-first from
+    the initial one, symbols in alphabet order, so the value depends only on
+    the language and the alphabet. The empty language is one edgeless state.
+    """
+    col = {x: i for i, x in enumerate(a.alphabet)}
+    delta = [[-1] * len(col) for _ in a.states]  # -1: no edge
+    pred: list[list[int]] = [[] for _ in a.states]
+    for q, x, r in a.transitions:
+        if x is None or delta[q][col[x]] >= 0:  # not a DFA: only trim
+            return trim(a)
+        delta[q][col[x]] = r
+        pred[r].append(q)
+    # cls[q] is q's class; the dead states, and the missing target at index
+    # -1 one past the states, are class -1
+    cls = [-1] * (a.num_states + 1)
+    stack = list(a.accepting)
+    for q in stack:
+        cls[q] = 1
+    while stack:
+        for p in pred[stack.pop()]:
+            if cls[p] < 0:
+                cls[p] = 0
+                stack.append(p)
+    live = [q for q in a.states if cls[q] >= 0]
+    count = 1 + (0 < len(a.accepting) < len(live))
+    while live:  # split by the classes of the successors until stable
+        keys: dict[tuple[int, ...], int] = {}
+        refined = cls[:]
+        get = cls.__getitem__
+        for q in live:
+            refined[q] = keys.setdefault((cls[q], *map(get, delta[q])), len(keys))
+        cls = refined
+        if len(keys) == count:
+            break
+        count = len(keys)
+    order = [a.initial] if cls[a.initial] >= 0 else []  # one state per class
+    number = {cls[q]: 0 for q in order}
+    transitions = []
+    for src, q in enumerate(order):  # order grows breadth-first as it is read
+        for x, r in zip(a.alphabet, delta[q]):
+            if cls[r] >= 0:
+                if cls[r] not in number:
+                    number[cls[r]] = len(order)
+                    order.append(r)
+                transitions.append((src, x, number[cls[r]]))
+    accepting = frozenset(i for i, q in enumerate(order) if q in a.accepting)
+    m = Nfa(max(len(order), 1), a.alphabet, frozenset(transitions), 0, accepting)
+    m.__dict__.update(_trimmed=True, _has_epsilon=False)
+    return m
+
+
 def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
     """Automaton for the complement of ``L(a)`` relative to ``alphabet``*.
 
@@ -180,8 +238,8 @@ def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
     return comp
 
 
-def intersect(a: Nfa, b: Nfa) -> Nfa:
-    """Product construction; recognizes ``L(a) ∩ L(b)``."""
+def _product(a: Nfa, b: Nfa) -> Nfa:
+    """Untrimmed ``L(a) ∩ L(b)``: the pairs reached, in discovery order."""
     a = eliminate_epsilon(a)
     b = eliminate_epsilon(b)
     alpha = _merge_alphabets(a.alphabet, b.alphabet)
@@ -217,7 +275,12 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
         for (qa, qb), idx in numbering.items()
         if qa in a.accepting and qb in b.accepting
     )
-    product = trim(Nfa(len(numbering), alpha, frozenset(transitions), 0, accepting))
+    return Nfa(len(numbering), alpha, frozenset(transitions), 0, accepting)
+
+
+def intersect(a: Nfa, b: Nfa) -> Nfa:
+    """Product construction; recognizes ``L(a) ∩ L(b)``, trimmed."""
+    product = trim(_product(a, b))
     product.__dict__["_has_epsilon"] = False  # epsilon-free by construction: no scan
     return product
 
@@ -238,9 +301,10 @@ def union(*parts: Nfa) -> Nfa:
 
 
 def difference(a: Nfa, b: Nfa) -> Nfa:
-    """Recognizes ``L(a) \\ L(b)``; ``b`` is complemented over the joint alphabet."""
+    """Recognizes ``L(a) \\ L(b)``; ``b`` is complemented over the joint
+    alphabet, and the product is minimized: a DFA when ``a`` is one."""
     alpha = _merge_alphabets(a.alphabet, b.alphabet)
-    return intersect(a, complement(b, alpha))
+    return minimize(_product(a, complement(b, alpha)))
 
 
 def is_empty(a: Nfa) -> bool:

@@ -51,14 +51,18 @@ class StarGeneralization:
         for i, j in self.ranges:
             if not (0 <= i < j <= n):
                 raise GrammarError(f"range {(i, j)} out of bounds for length {n}")
-        ordered = sorted(self.ranges)
-        for a in range(len(ordered)):
-            for b in range(a + 1, len(ordered)):
-                if _crosses(ordered[a], ordered[b]):
-                    raise GrammarError(
-                        f"ranges {ordered[a]} and {ordered[b]} cross; "
-                        "star ranges must be nested or disjoint"
-                    )
+        # one sweep by (start, -end): the ranges open at a start are nested,
+        # innermost last, and a range crosses one exactly if it ends after that
+        open_ranges: list[tuple[int, int]] = []
+        for i, j in sorted(self.ranges, key=lambda r: (r[0], -r[1])):
+            while open_ranges and open_ranges[-1][1] <= i:
+                open_ranges.pop()
+            if open_ranges and open_ranges[-1][1] < j:
+                raise GrammarError(
+                    f"ranges {open_ranges[-1]} and {(i, j)} cross; "
+                    "star ranges must be nested or disjoint"
+                )
+            open_ranges.append((i, j))
 
 
 def gen_language(sg: StarGeneralization) -> Nfa:

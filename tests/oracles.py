@@ -9,9 +9,10 @@ bounded word length; nothing here is meant to scale.
 
 The module also holds the brute-force word-level predicates the tests
 compare the library with: automaton acceptance and bounded enumeration by
-subset simulation, language equivalence, and bounded enumeration of a
-grammar's words; and a naive set-based pre* fixpoint that the saturation
-kernel is compared with triple for triple.
+subset simulation, language equivalence, the pairs of equivalent states
+of a DFA by table filling, and bounded enumeration of a grammar's words;
+and a naive set-based pre* fixpoint that the saturation kernel is compared
+with triple for triple.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import chain, combinations
 from typing import Iterable
 
 from cflsep.grammar import Cfg, GrammarError, normalize
-from cflsep.nfa import Nfa, difference, is_empty
+from cflsep.nfa import Nfa, complement, intersect, is_empty
 
 
 @dataclass(frozen=True)
@@ -312,8 +313,41 @@ def enumerate_accepted(a: Nfa, max_len: int) -> frozenset[tuple[str, ...]]:
 
 
 def equivalent(a: Nfa, b: Nfa) -> bool:
-    """Language equality via emptiness of both difference directions."""
-    return is_empty(difference(a, b)) and is_empty(difference(b, a))
+    """Language equality via emptiness of both difference directions, each
+    built as a product with a complement, so that ``minimize`` (which
+    ``difference`` runs) is not part of the check."""
+    alphabet = tuple(dict.fromkeys(a.alphabet + b.alphabet))
+    return all(
+        is_empty(intersect(x, complement(y, alphabet))) for x, y in ((a, b), (b, a))
+    )
+
+
+def equivalent_states(a: Nfa) -> list[tuple[int, int | None]]:
+    """Pairs of distinct states of the DFA ``a`` from which the same words are
+    accepted; ``None`` stands for the dead state that a missing edge leads to.
+
+    Table filling over all pairs: a pair is marked when one side accepts and
+    the other does not, or when some symbol leads it to a marked pair, and
+    every pair is rescanned until no mark is added.
+    """
+    delta = {(q, x): r for q, x, r in a.transitions}
+    if None in {x for _, x, _ in a.transitions} or len(delta) < len(a.transitions):
+        raise ValueError("not a DFA")
+    pairs = list(combinations([*a.states, None], 2))
+    marked = {(p, q) for p, q in pairs if (p in a.accepting) != (q in a.accepting)}
+    changed = True
+    while changed:
+        changed = False
+        for p, q in pairs:
+            if (p, q) in marked:
+                continue
+            for x in a.alphabet:
+                r, s = delta.get((p, x)), delta.get((q, x))
+                if (r, s) in marked or (s, r) in marked:
+                    marked.add((p, q))
+                    changed = True
+                    break
+    return [pair for pair in pairs if pair not in marked]
 
 
 def enumerate_words(g: Cfg, max_len: int) -> frozenset[tuple[str, ...]]:

@@ -15,11 +15,11 @@ from cflsep.engine import (
     classify_witness,
 )
 from cflsep.grammar import GrammarError
-from cflsep.nfa import difference, is_empty
+from cflsep.nfa import difference, is_empty, minimize
 from cflsep.prestar import in_language
 from cflsep.refinement import max_star_generalize
 
-from oracles import accepts, enumerate_words
+from oracles import accepts, enumerate_words, equivalent_states
 from support import AIBI1, PALINDROME, grammar, load_fixture, random_cfg
 
 C3 = grammar('grammar C3 { start S; S -> "a" S "a" | "a" "c" "a"; }')
@@ -77,6 +77,16 @@ def test_separable_verdict_carries_sound_approximations():
     for g, approx in zip([c2, C4], verdict.approximations):
         for w in enumerate_words(g, 7):
             assert accepts(approx, w)
+
+
+def test_separable_approximations_are_minimal_dfas():
+    # sigma-star starts from a DFA and every round subtracts by `difference`,
+    # so each approximation is the trimmed minimal DFA of its language
+    verdict = check_disjoint(load_fixture("c3c4.cfg"), Config("sigma-star", "greedy-eps"))
+    assert isinstance(verdict, Separable) and verdict.iterations >= 1
+    for approx in verdict.approximations:
+        assert minimize(approx) == approx
+        assert equivalent_states(approx) == []
 
 
 def test_iteration_cap_yields_unknown():

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from cflsep.approximation import nederhof
 from cflsep.nfa import (
     Nfa,
+    _product,
     complement,
     difference,
     eliminate_epsilon,
     intersect,
     is_empty,
+    minimize,
     shortest_common_word,
     to_dot,
     trim,
@@ -22,7 +24,16 @@ from cflsep.nfa import (
     word_automaton,
 )
 
-from oracles import accepts, cat, enumerate_accepted, equivalent, lit, regex_to_nfa, star
+from oracles import (
+    accepts,
+    cat,
+    enumerate_accepted,
+    equivalent,
+    equivalent_states,
+    lit,
+    regex_to_nfa,
+    star,
+)
 from support import FIXTURES, hand_nfa, load_fixture, random_nfa, words_upto
 
 SIGMA_STAR = hand_nfa(1, ("a", "b"), {(0, "a", 0), (0, "b", 0)}, 0, {0})
@@ -409,3 +420,109 @@ def test_complement_recognizes_the_complement_with_a_sink():
     assert comp.num_states == 3
     sinks = [q for q in comp.states if all((q, x, q) in comp.transitions for x in alphabet)]
     assert len(sinks) == 1 and sinks[0] in comp.accepting
+
+
+# --- minimal canonical DFAs ---------------------------------------------------
+
+
+def _random_dfa(rng: random.Random, max_states: int = 6) -> Nfa:
+    """A partial DFA over {a, b}; some states may be unreachable or dead."""
+    n = rng.randint(1, max_states)
+    transitions = {
+        (q, x, rng.randrange(n)) for q in range(n) for x in ("a", "b") if rng.random() < 0.75
+    }
+    return hand_nfa(n, ("a", "b"), transitions, 0, {q for q in range(n) if rng.random() < 0.5})
+
+
+def _dfas_and_products() -> list[Nfa]:
+    """Random DFAs, and the untrimmed products that ``difference`` and
+    ``intersect`` build from them and from random NFAs."""
+    rng = random.Random(34)
+    out = []
+    for _ in range(80):
+        a, b = _random_dfa(rng), _random_dfa(rng)
+        out += [a, _product(a, b), _product(a, complement(random_nfa(rng), ("a", "b")))]
+    return out
+
+
+def _renumbered(a: Nfa, rng: random.Random) -> Nfa:
+    perm = list(a.states)
+    rng.shuffle(perm)
+    return Nfa(
+        a.num_states,
+        a.alphabet,
+        frozenset((perm[q], x, perm[r]) for q, x, r in a.transitions),
+        perm[a.initial],
+        frozenset(perm[q] for q in a.accepting),
+    )
+
+
+def _is_dfa(a: Nfa) -> bool:
+    return not a.has_epsilon() and len({(q, x) for q, x, _ in a.transitions}) == len(a.transitions)
+
+
+def test_minimize_keeps_the_language():
+    for a in _dfas_and_products():
+        m = minimize(a)
+        assert equivalent(m, a)
+        assert enumerate_accepted(m, 6) == enumerate_accepted(a, 6)
+
+
+def test_minimize_leaves_no_two_states_equivalent():
+    samples = _dfas_and_products()
+    empties = 0
+    for a in samples:
+        m = minimize(a)
+        assert _is_dfa(m) and m.alphabet == a.alphabet
+        if is_empty(m):
+            empties += 1
+            continue
+        # trimmed and minimal: no state is dead, unreachable or equivalent to another
+        assert equivalent_states(m) == []
+        assert _useful(m) == set(m.states)
+    assert 0 < empties < len(samples) / 2
+
+
+def test_minimize_is_canonical():
+    rng = random.Random(35)
+    for a in _dfas_and_products():
+        m = minimize(a)
+        shuffled = minimize(_renumbered(a, rng))
+        assert shuffled == m and to_dot(shuffled) == to_dot(m)
+        # a larger DFA of the same language gives the same value too
+        assert minimize(_product(a, SIGMA_STAR)) == m
+        assert minimize(m) == m
+
+
+def test_minimize_marks_its_value_trimmed_and_epsilon_free():
+    for a in _dfas_and_products():
+        m = minimize(a)
+        assert _marks(m) == {"_trimmed": True, "_has_epsilon": False}
+        assert trim(m) is m and trim(_fresh(m)) == m
+
+
+def test_minimize_only_trims_a_nondeterministic_value():
+    nfas = [a for a in _sample_automata() if not _is_dfa(a)]
+    assert len(nfas) > 20
+    for a in nfas:
+        assert minimize(a) == trim(a)
+
+
+def test_minimize_of_the_empty_language_is_one_state_without_edges():
+    loops = hand_nfa(2, ("a", "b"), {(0, "a", 0), (0, "b", 1), (1, "a", 1)}, 0, set())
+    unreachable = hand_nfa(3, ("a", "b"), {(0, "a", 1), (2, "b", 2)}, 0, {2})
+    for a in (loops, unreachable, _product(A_STAR_B_STAR, complement(A_STAR_B_STAR))):
+        assert is_empty(a)
+        m = minimize(a)
+        assert m == Nfa(1, a.alphabet, frozenset(), 0, frozenset())
+        assert (m.num_states, m.accepting) == (trim(a).num_states, trim(a).accepting)
+
+
+def test_difference_returns_the_minimal_dfa():
+    rng = random.Random(36)
+    for _ in range(60):
+        a, b = _random_dfa(rng), random_nfa(rng)
+        alphabet = ("a", "b")
+        d = difference(a, b)
+        assert d == minimize(_product(a, complement(b, alphabet)))
+        assert d.num_states <= intersect(a, complement(b, alphabet)).num_states

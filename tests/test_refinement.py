@@ -95,6 +95,31 @@ def test_gen_language_rejects_bad_ranges():
         StarGeneralization(("a", "b", "a", "b"), frozenset({(0, 2), (1, 3)}))
 
 
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_star_generalization_rejects_exactly_the_crossing_pairs(pairs):
+    # the one-sweep check agrees with the pairwise definition; ranges that
+    # touch or share a start or an end stay legal
+    ranges = frozenset((min(i, j), max(i, j)) for i, j in pairs if i != j)
+    crossing = any(_crosses(r1, r2) for r1, r2 in itertools.combinations(ranges, 2))
+    try:
+        StarGeneralization(("a",) * 8, ranges)
+    except GrammarError:
+        assert crossing
+    else:
+        assert not crossing
+
+
+def test_star_generalization_checks_a_long_nest_in_one_sweep():
+    # 3,000 nested ranges and 3,000 touching ones (4.5M pairs each); the
+    # error names the innermost open range and the one that crosses it
+    n = 6000
+    StarGeneralization(("a",) * n, frozenset((k, n - k) for k in range(n // 2)))
+    StarGeneralization(("a",) * n, frozenset((k, k + 2) for k in range(0, n - 1, 2)))
+    with pytest.raises(GrammarError, match=r"\(2998, 3002\) and \(2999, 3003\) cross"):
+        StarGeneralization(("a",) * n, frozenset((k, n - k) for k in range(n // 2)) | {(2999, 3003)})
+
+
 def test_gen_language_deep_nests_have_no_recursion_limit():
     # far deeper than Python's recursion limit: {(0,k)} on a^1200 (a* with
     # n^2/2 follow edges) and 3,000 stars centred on a^6000 (linear in size)
