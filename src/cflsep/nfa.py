@@ -7,16 +7,22 @@ argument returns the argument itself: ``trim`` of a trim automaton,
 itself in its ``__dict__``: that ``trim`` returned it, and whether it has
 epsilon edges. This is not a caching layer: both are booleans about an
 immutable value, they take no part in ``==`` and ``hash``, and no index is
-kept (every walk builds its own ``_successors``). Labels are terminal names
-(arbitrary strings) or ``None`` for epsilon. Determinization only happens
-inside complement/difference, which returns the trimmed minimal DFA of a
-deterministic product; everything else stays nondeterministic.
+kept. Every walk builds its own successor table with ``_table``: per state,
+one tuple of target states per alphabet column, sorted where a column has
+several, so no result follows the hash-seeded iteration order of the
+transitions. Reachability (``trim``, ``is_empty``) runs over list adjacency.
+Labels are terminal names (arbitrary strings) or ``None`` for epsilon.
+Determinization only happens inside complement/difference, which returns the
+trimmed minimal DFA of a deterministic product; everything else stays
+nondeterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, product, repeat
+from operator import contains
 from typing import Iterable, Sequence
 
 
@@ -64,13 +70,43 @@ def _merge_alphabets(*alphabets: Sequence[str]) -> tuple[str, ...]:
     return tuple(merged)
 
 
-def _successors(a: Nfa) -> list[dict[str, set[int]]]:
-    """Successor index ``q -> sym -> targets`` over the non-epsilon edges."""
-    succ: list[dict[str, set[int]]] = [{} for _ in a.states]
+def _table(a: Nfa, columns: Sequence[str]) -> list[list[tuple[int, ...]]]:
+    """Successor table: ``table[q][c]`` holds the targets of ``q``'s edges on
+    the symbol ``columns[c]``, sorted when there are several. Epsilon edges
+    and labels outside ``columns`` are left out; a repeated symbol fills only
+    its first column."""
+    index: dict[str, int] = {}
+    for c, x in enumerate(columns):
+        index.setdefault(x, c)
+    table: list[list[tuple[int, ...]]] = [[()] * len(columns) for _ in a.states]
+    several = []
     for q, x, r in a.transitions:
-        if x is not None:
-            succ[q].setdefault(x, set()).add(r)
-    return succ
+        c = index.get(x)
+        if c is not None:
+            row = table[q]
+            if row[c]:
+                several.append((row, c))
+                row[c] += (r,)
+            else:
+                row[c] = (r,)
+    # the transitions iterate in a PYTHONHASHSEED-dependent order
+    for row, c in several:
+        row[c] = tuple(sorted(row[c]))
+    return table
+
+
+def _reach(seeds: Iterable[int], adjacency: list[list[int]]) -> bytearray:
+    """The states reachable from ``seeds``: one byte per state, 1 if reached."""
+    seen = bytearray(len(adjacency))
+    stack = list(seeds)
+    for q in stack:
+        seen[q] = 1
+    while stack:
+        for r in adjacency[stack.pop()]:
+            if not seen[r]:
+                seen[r] = 1
+                stack.append(r)
+    return seen
 
 
 def word_automaton(word: Sequence[str]) -> Nfa:
@@ -88,7 +124,7 @@ def eliminate_epsilon(a: Nfa) -> Nfa:
     for q, x, r in a.transitions:
         if x is None:
             eps[q].append(r)
-    succ = _successors(a)
+    table = _table(a, a.alphabet)
     transitions: set[tuple[int, str | None, int]] = set()
     accepting: set[int] = set()
     for q in a.states:
@@ -100,8 +136,9 @@ def eliminate_epsilon(a: Nfa) -> Nfa:
                     closure.add(r)
                     stack.append(r)
         for mid in closure:
-            for x, targets in succ[mid].items():
-                transitions.update((q, x, r) for r in targets)
+            for x, targets in zip(a.alphabet, table[mid]):
+                for r in targets:
+                    transitions.add((q, x, r))
         if not closure.isdisjoint(a.accepting):
             accepting.add(q)
     return Nfa(a.num_states, a.alphabet, frozenset(transitions), a.initial, frozenset(accepting))
@@ -111,45 +148,54 @@ def trim(a: Nfa) -> Nfa:
     """Keep only states on some path initial -> accepting; renumber densely.
 
     Returns ``a`` itself when every state is useful, and marks what it returns
-    as trimmed, so trimming a trimmed value does no work.
+    as trimmed, so trimming a trimmed value does no work. A value known to be
+    epsilon-free stays marked so.
     """
     if a.__dict__.get("_trimmed"):
         return a
-    forward: dict[int, set[int]] = {q: set() for q in a.states}
-    backward: dict[int, set[int]] = {q: set() for q in a.states}
+    forward: list[list[int]] = [[] for _ in a.states]
+    backward: list[list[int]] = [[] for _ in a.states]
     for q, _, r in a.transitions:
-        forward[q].add(r)
-        backward[r].add(q)
-
-    def reach(seeds: Iterable[int], edges: dict[int, set[int]]) -> set[int]:
-        seen = set(seeds)
-        frontier = deque(seen)
-        while frontier:
-            q = frontier.popleft()
-            for r in edges[q]:
-                if r not in seen:
-                    seen.add(r)
-                    frontier.append(r)
-        return seen
-
-    useful = reach({a.initial}, forward) & reach(a.accepting, backward)
-    useful.add(a.initial)
+        forward[q].append(r)
+        backward[r].append(q)
+    reached, coreached = _reach((a.initial,), forward), _reach(a.accepting, backward)
+    useful = [q for q in a.states if reached[q] and coreached[q] or q == a.initial]
     if len(useful) < a.num_states:  # else the renumbering is the identity
-        renum = {q: i for i, q in enumerate(sorted(useful))}
+        renum = [-1] * a.num_states
+        for i, q in enumerate(useful):
+            renum[q] = i
         transitions = frozenset(
             (renum[q], x, renum[r])
             for q, x, r in a.transitions
-            if q in useful and r in useful
+            if renum[q] >= 0 and renum[r] >= 0
         )
-        accepting = frozenset(renum[q] for q in a.accepting if q in useful)
+        accepting = frozenset(renum[q] for q in a.accepting if renum[q] >= 0)
+        epsilon_free = a.__dict__.get("_has_epsilon") is False
         a = Nfa(len(useful), a.alphabet, transitions, renum[a.initial], accepting)
+        if epsilon_free:
+            a.__dict__["_has_epsilon"] = False
     a.__dict__["_trimmed"] = True
     return a
 
 
 def minimize(a: Nfa) -> Nfa:
     """The trimmed minimal DFA of ``L(a)`` if ``a`` is an epsilon-free DFA,
-    else ``trim(a)``.
+    else ``trim(a)``. The front end of ``_minimal``: it builds the rows of
+    the DFA from its successor table."""
+    if a.has_epsilon():
+        return trim(a)
+    table = _table(a, a.alphabet)
+    if any(len(targets) > 1 for row in table for targets in row):
+        return trim(a)
+    rows = [[targets[0] if targets else -1 for targets in row] for row in table]
+    return _minimal(a.alphabet, rows, a.initial, a.accepting)
+
+
+def _minimal(
+    alphabet: tuple[str, ...], rows: list[list[int]], initial: int, accepting: frozenset[int]
+) -> Nfa:
+    """The trimmed minimal DFA of the DFA whose state ``q`` has the edge
+    ``q -alphabet[c]-> rows[q][c]`` for each ``rows[q][c] >= 0``.
 
     A backward reach from the accepting states finds the dead states; a
     missing edge counts as an edge to them. Moore's partition refinement
@@ -157,18 +203,15 @@ def minimize(a: Nfa) -> Nfa:
     the initial one, symbols in alphabet order, so the value depends only on
     the language and the alphabet. The empty language is one edgeless state.
     """
-    col = {x: i for i, x in enumerate(a.alphabet)}
-    delta = [[-1] * len(col) for _ in a.states]  # -1: no edge
-    pred: list[list[int]] = [[] for _ in a.states]
-    for q, x, r in a.transitions:
-        if x is None or delta[q][col[x]] >= 0:  # not a DFA: only trim
-            return trim(a)
-        delta[q][col[x]] = r
-        pred[r].append(q)
+    pred: list[list[int]] = [[] for _ in rows]
+    for q, row in enumerate(rows):
+        for r in row:
+            if r >= 0:
+                pred[r].append(q)
     # cls[q] is q's class; the dead states, and the missing target at index
     # -1 one past the states, are class -1
-    cls = [-1] * (a.num_states + 1)
-    stack = list(a.accepting)
+    cls = [-1] * (len(rows) + 1)
+    stack = list(accepting)
     for q in stack:
         cls[q] = 1
     while stack:
@@ -176,30 +219,30 @@ def minimize(a: Nfa) -> Nfa:
             if cls[p] < 0:
                 cls[p] = 0
                 stack.append(p)
-    live = [q for q in a.states if cls[q] >= 0]
-    count = 1 + (0 < len(a.accepting) < len(live))
+    live = [q for q in range(len(rows)) if cls[q] >= 0]
+    count = 1 + (0 < len(accepting) < len(live))
     while live:  # split by the classes of the successors until stable
         keys: dict[tuple[int, ...], int] = {}
         refined = cls[:]
         get = cls.__getitem__
         for q in live:
-            refined[q] = keys.setdefault((cls[q], *map(get, delta[q])), len(keys))
+            refined[q] = keys.setdefault((cls[q], *map(get, rows[q])), len(keys))
         cls = refined
         if len(keys) == count:
             break
         count = len(keys)
-    order = [a.initial] if cls[a.initial] >= 0 else []  # one state per class
+    order = [initial] if cls[initial] >= 0 else []  # one state per class
     number = {cls[q]: 0 for q in order}
     transitions = []
     for src, q in enumerate(order):  # order grows breadth-first as it is read
-        for x, r in zip(a.alphabet, delta[q]):
+        for x, r in zip(alphabet, rows[q]):
             if cls[r] >= 0:
-                if cls[r] not in number:
-                    number[cls[r]] = len(order)
+                dst = number.setdefault(cls[r], len(order))
+                if dst == len(order):
                     order.append(r)
-                transitions.append((src, x, number[cls[r]]))
-    accepting = frozenset(i for i, q in enumerate(order) if q in a.accepting)
-    m = Nfa(max(len(order), 1), a.alphabet, frozenset(transitions), 0, accepting)
+                transitions.append((src, x, dst))
+    final = frozenset(i for i, q in enumerate(order) if q in accepting)
+    m = Nfa(max(len(order), 1), alphabet, frozenset(transitions), 0, final)
     m.__dict__.update(_trimmed=True, _has_epsilon=False)
     return m
 
@@ -215,74 +258,95 @@ def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
     """
     alpha = a.alphabet if alphabet is None else _merge_alphabets(alphabet, a.alphabet)
     a = eliminate_epsilon(a)
-    succ = _successors(a)
+    table = _table(a, alpha)
 
-    start = frozenset({a.initial})
-    numbering: dict[frozenset[int], int] = {start: 0}
-    queue: deque[frozenset[int]] = deque([start])
-    transitions: set[tuple[int, str | None, int]] = set()
-    while queue:
-        subset = queue.popleft()
-        src = numbering[subset]
-        for sym in alpha:
-            nxt = frozenset(r for q in subset for r in succ[q].get(sym, ()))
+    subsets = [frozenset({a.initial})]
+    numbering: dict[frozenset[int], int] = {subsets[0]: 0}
+    transitions: list[tuple[int, str | None, int]] = []
+    for src, subset in enumerate(subsets):  # subsets grows breadth-first as it is read
+        if len(subset) == 1:
+            targets = table[next(iter(subset))]
+        else:  # per column, the union over the subset; the sink has none
+            rows = map(table.__getitem__, subset)
+            targets = map(chain.from_iterable, zip(repeat((), len(alpha)), *rows))
+        for sym, nxt in zip(alpha, map(frozenset, targets)):
             if nxt not in numbering:
-                numbering[nxt] = len(numbering)
-                queue.append(nxt)
-            transitions.add((src, sym, numbering[nxt]))
+                numbering[nxt] = len(subsets)
+                subsets.append(nxt)
+            transitions.append((src, sym, numbering[nxt]))
     accepting = frozenset(
-        idx for subset, idx in numbering.items() if a.accepting.isdisjoint(subset)
+        idx for idx, subset in enumerate(subsets) if a.accepting.isdisjoint(subset)
     )
-    comp = Nfa(len(numbering), alpha, frozenset(transitions), 0, accepting)
+    comp = Nfa(len(subsets), alpha, frozenset(transitions), 0, accepting)
     comp.__dict__["_has_epsilon"] = False  # epsilon-free by construction: no scan
     return comp
 
 
-def _product(a: Nfa, b: Nfa) -> Nfa:
-    """Untrimmed ``L(a) ∩ L(b)``: the pairs reached, in discovery order."""
+def _product_rows(
+    a: Nfa, b: Nfa
+) -> tuple[tuple[str, ...], list[list[int]], list[tuple[int, int, int]], frozenset[int]]:
+    """The product walk of ``L(a) ∩ L(b)`` over the joint alphabet.
+
+    States are the pairs reached, keyed ``qa * nb + qb`` and numbered in
+    discovery order: breadth-first, symbols in alphabet order, targets in
+    increasing order. Returns the alphabet; one row per state with its first
+    target per column, -1 for none; the further targets as (state, column,
+    target), empty iff the product is deterministic; and the accepting
+    states.
+    """
     a = eliminate_epsilon(a)
     b = eliminate_epsilon(b)
     alpha = _merge_alphabets(a.alphabet, b.alphabet)
-    succ_a, succ_b = _successors(a), _successors(b)
-
-    start = (a.initial, b.initial)
-    numbering: dict[tuple[int, int], int] = {start: 0}
-    queue: deque[tuple[int, int]] = deque([start])
-    transitions: set[tuple[int, str | None, int]] = set()
-    while queue:
-        qa, qb = queue.popleft()
-        src = numbering[(qa, qb)]
-        for sym in alpha:
-            targets_a = succ_a[qa].get(sym)
-            targets_b = succ_b[qb].get(sym)
-            if not (targets_a and targets_b):
-                continue
-            # ints that collide in a set iterate in insertion order, which
-            # follows the PYTHONHASHSEED-dependent order of the transitions
-            if len(targets_a) > 1:
-                targets_a = sorted(targets_a)
-            if len(targets_b) > 1:
-                targets_b = sorted(targets_b)
-            for ra in targets_a:
-                for rb in targets_b:
-                    pair = (ra, rb)
-                    if pair not in numbering:
-                        numbering[pair] = len(numbering)
-                        queue.append(pair)
-                    transitions.add((src, sym, numbering[pair]))
+    table_a, table_b = _table(a, alpha), _table(b, alpha)
+    nb = b.num_states
+    keys = [a.initial * nb + b.initial]
+    index = {keys[0]: 0}
+    rows: list[list[int]] = []
+    more: list[tuple[int, int, int]] = []
+    for src, key in enumerate(keys):  # keys grows breadth-first as it is read
+        qa, qb = divmod(key, nb)
+        row = [-1] * len(alpha)
+        for c, (targets_a, targets_b) in enumerate(zip(table_a[qa], table_b[qb])):
+            if targets_a and targets_b:
+                for ra in targets_a:
+                    for rb in targets_b:
+                        pair = ra * nb + rb
+                        dst = index.setdefault(pair, len(keys))
+                        if dst == len(keys):
+                            keys.append(pair)
+                        if row[c] < 0:
+                            row[c] = dst
+                        else:
+                            more.append((src, c, dst))
+        rows.append(row)
     accepting = frozenset(
-        idx
-        for (qa, qb), idx in numbering.items()
-        if qa in a.accepting and qb in b.accepting
+        i for i, key in enumerate(keys) if key // nb in a.accepting and key % nb in b.accepting
     )
-    return Nfa(len(numbering), alpha, frozenset(transitions), 0, accepting)
+    return alpha, rows, more, accepting
+
+
+def _as_nfa(
+    alpha: tuple[str, ...],
+    rows: list[list[int]],
+    more: list[tuple[int, int, int]],
+    accepting: frozenset[int],
+) -> Nfa:
+    """The automaton of a product walk, marked epsilon-free."""
+    transitions = {(q, x, r) for q, row in enumerate(rows) for x, r in zip(alpha, row) if r >= 0}
+    transitions.update((q, alpha[c], r) for q, c, r in more)
+    product = Nfa(len(rows), alpha, frozenset(transitions), 0, accepting)
+    product.__dict__["_has_epsilon"] = False  # epsilon-free by construction: no scan
+    return product
+
+
+def _product(a: Nfa, b: Nfa) -> Nfa:
+    """Untrimmed ``L(a) ∩ L(b)``: the pairs reached, in discovery order."""
+    return _as_nfa(*_product_rows(a, b))
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
     """Product construction; recognizes ``L(a) ∩ L(b)``, trimmed."""
-    product = trim(_product(a, b))
-    product.__dict__["_has_epsilon"] = False  # epsilon-free by construction: no scan
-    return product
+    return trim(_product(a, b))
 
 
 def union(*parts: Nfa) -> Nfa:
@@ -302,26 +366,22 @@ def union(*parts: Nfa) -> Nfa:
 
 def difference(a: Nfa, b: Nfa) -> Nfa:
     """Recognizes ``L(a) \\ L(b)``; ``b`` is complemented over the joint
-    alphabet, and the product is minimized: a DFA when ``a`` is one."""
+    alphabet. A deterministic product gives its trimmed minimal DFA, whose
+    rows go from the product walk straight to ``_minimal``; a
+    nondeterministic one is only trimmed."""
     alpha = _merge_alphabets(a.alphabet, b.alphabet)
-    return minimize(_product(a, complement(b, alpha)))
+    alpha, rows, more, accepting = _product_rows(a, complement(b, alpha))
+    if more:
+        return trim(_as_nfa(alpha, rows, more, accepting))
+    return _minimal(alpha, rows, 0, accepting)
 
 
 def is_empty(a: Nfa) -> bool:
-    reachable = {a.initial}
-    frontier = deque(reachable)
-    out: dict[int, list[int]] = {}
+    out: list[list[int]] = [[] for _ in a.states]
     for q, _, r in a.transitions:
-        out.setdefault(q, []).append(r)
-    while frontier:
-        q = frontier.popleft()
-        if q in a.accepting:
-            return False
-        for r in out.get(q, ()):
-            if r not in reachable:
-                reachable.add(r)
-                frontier.append(r)
-    return not (reachable & a.accepting)
+        out[q].append(r)
+    reached = _reach((a.initial,), out)
+    return not any(reached[q] for q in a.accepting)
 
 
 def shortest_common_word(
@@ -337,39 +397,37 @@ def shortest_common_word(
     symbols in alphabet order. So the first accepting tuple discovered ends
     the least common word. Grouping matters: a word reaches several tuples
     at once, and expanding them one by one would put ``w b`` ahead of
-    ``w a``. The product is never materialized.
+    ``w a``. The product is never materialized. Labels outside ``alphabet``
+    are never walked.
     """
     comps = [trim(eliminate_epsilon(a)) for a in automata]
-    succs = [_successors(c) for c in comps]
-
-    def accepting(state: tuple[int, ...]) -> bool:
-        return all(q in c.accepting for q, c in zip(state, comps))
-
+    tables = [_table(c, alphabet) for c in comps]
+    finals = [c.accepting for c in comps]
     start = tuple(c.initial for c in comps)
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], str] | None] = {start: None}
+    # the tuple it was reached from, and the column of the symbol read
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
 
     def word_to(state: tuple[int, ...]) -> tuple[str, ...]:
         word: list[str] = []
         while (link := parent[state]) is not None:
-            state, sym = link
-            word.append(sym)
+            state, c = link
+            word.append(alphabet[c])
         return tuple(reversed(word))
 
-    if accepting(start):
+    if all(map(contains, finals, start)):
         return ()
     queue = deque([[start]])
     while queue:
         group = queue.popleft()
-        for sym in alphabet:
+        # each tuple's rows side by side: per column, the targets of every component
+        columns = [list(zip(*map(list.__getitem__, tables, state))) for state in group]
+        for c in range(len(alphabet)):
             reached: list[tuple[int, ...]] = []
-            for state in group:
-                combos: list[tuple[int, ...]] = [()]
-                for q, succ in zip(state, succs):
-                    combos = [c + (r,) for c in combos for r in succ[q].get(sym, ())]
-                for combo in combos:
+            for state, targets in zip(group, columns):
+                for combo in product(*targets[c]):
                     if combo not in parent:
-                        parent[combo] = (state, sym)
-                        if accepting(combo):
+                        parent[combo] = (state, c)
+                        if all(map(contains, finals, combo)):
                             return word_to(combo)
                         reached.append(combo)
             if reached:

@@ -10,13 +10,15 @@ bounded word length; nothing here is meant to scale.
 The module also holds the brute-force word-level predicates the tests
 compare the library with: automaton acceptance and bounded enumeration by
 subset simulation, language equivalence, the pairs of equivalent states
-of a DFA by table filling, and bounded enumeration of a grammar's words;
+of a DFA by table filling, the plain product construction, and bounded
+enumeration of a grammar's words;
 and a naive set-based pre* fixpoint that the saturation kernel is compared
 with triple for triple.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -320,6 +322,44 @@ def equivalent(a: Nfa, b: Nfa) -> bool:
     return all(
         is_empty(intersect(x, complement(y, alphabet))) for x, y in ((a, b), (b, a))
     )
+
+
+def reference_product(a: Nfa, b: Nfa) -> Nfa:
+    """Untrimmed ``L(a) ∩ L(b)`` by the plain product construction.
+
+    Pairs of states are numbered as they are discovered, breadth-first from
+    the initial pair, symbols in the order of the joint alphabet (``a``'s,
+    then ``b``'s new ones), targets in increasing order. An epsilon edge is
+    taken inside a step: the pair moves on a symbol from anywhere in its
+    states' epsilon closures, and accepts if both closures hold an accepting
+    state.
+    """
+    alphabet = tuple(dict.fromkeys(a.alphabet + b.alphabet))
+    out_a, out_b = _out_edges(a), _out_edges(b)
+
+    def step(out: list[list[tuple[str | None, int]]], q: int, sym: str) -> list[int]:
+        return sorted({r for m in _closure(out, {q}) for x, r in out[m] if x == sym})
+
+    start = (a.initial, b.initial)
+    number = {start: 0}
+    queue = deque([start])
+    transitions = set()
+    while queue:
+        qa, qb = queue.popleft()
+        for sym in alphabet:
+            for ra in step(out_a, qa, sym):
+                for rb in step(out_b, qb, sym):
+                    if (ra, rb) not in number:
+                        number[(ra, rb)] = len(number)
+                        queue.append((ra, rb))
+                    transitions.add((number[(qa, qb)], sym, number[(ra, rb)]))
+    accepting = frozenset(
+        i
+        for (qa, qb), i in number.items()
+        if not _closure(out_a, {qa}).isdisjoint(a.accepting)
+        and not _closure(out_b, {qb}).isdisjoint(b.accepting)
+    )
+    return Nfa(len(number), alphabet, frozenset(transitions), 0, accepting)
 
 
 def equivalent_states(a: Nfa) -> list[tuple[int, int | None]]:

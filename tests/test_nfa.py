@@ -1,7 +1,11 @@
 import copy
 import dataclasses
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +35,7 @@ from oracles import (
     equivalent,
     equivalent_states,
     lit,
+    reference_product,
     regex_to_nfa,
     star,
 )
@@ -179,22 +184,32 @@ def test_shortest_witness_minimality():
     )
     assert shortest_common_word([fork], fork.alphabet) == ("a", "a")
     assert shortest_common_word([fork, fork], ("b", "a")) == ("a", "b")
-    # the k-ary walk on denser automata, symbols ranked in reverse declaration order
-    order = ("b", "a")
-    nontrivial = 0
-    for _ in range(300):
-        automata = [
-            random_nfa(rng, max_states=8, edges_per_state=3) for _ in range(rng.randint(1, 3))
-        ]
-        common = frozenset.intersection(*(enumerate_accepted(a, 6) for a in automata))
-        w = shortest_common_word(automata, order)
-        least = min(common, key=lambda v: (len(v), [order.index(x) for x in v]), default=None)
-        if least is not None:
-            assert w == least
-            nontrivial += len(automata) > 1 and len(least) > 0
-        elif w is not None:
-            assert len(w) > 6 and all(accepts(a, w) for a in automata)
-    assert nontrivial >= 10
+    # the k-ary walk on denser automata (epsilon edges included), symbols ranked
+    # in reverse declaration order; then an alphabet that omits "a", whose
+    # edges are never walked, and one that names "c", which no automaton has
+    nontrivial = ternary = 0
+    for order in (("b", "a"), ("b",), ("c", "b", "a")):
+        for _ in range(200):
+            automata = [
+                random_nfa(rng, max_states=8, edges_per_state=3)
+                for _ in range(rng.randint(1, 3))
+            ]
+            common = frozenset.intersection(
+                *(frozenset(v for v in enumerate_accepted(a, 6) if set(v) <= set(order))
+                  for a in automata)
+            )
+            w = shortest_common_word(automata, order)
+            least = min(
+                common, key=lambda v: (len(v), [order.index(x) for x in v]), default=None
+            )
+            if least is not None:
+                assert w == least
+                nontrivial += len(automata) > 1 and len(least) > 0
+                ternary += len(automata) == 3 and any(a.has_epsilon() for a in automata)
+            elif w is not None:
+                assert len(w) > 6 and set(w) <= set(order)
+                assert all(accepts(a, w) for a in automata)
+    assert nontrivial >= 10 and ternary >= 10
 
 
 def test_is_empty():
@@ -526,3 +541,76 @@ def test_difference_returns_the_minimal_dfa():
         d = difference(a, b)
         assert d == minimize(_product(a, complement(b, alphabet)))
         assert d.num_states <= intersect(a, complement(b, alphabet)).num_states
+
+
+# --- the product walk ---------------------------------------------------------
+
+
+def test_product_intersect_and_difference_equal_the_reference_product():
+    # epsilon edges, several targets per column, and alphabets that share only
+    # some symbols, so each operand has labels foreign to the other
+    rng = random.Random(38)
+    alphabets = (("a", "b"), ("b", "c"), ("c", "a", "b"))
+    deterministic = nondeterministic = 0
+    for i in range(300):
+        a = (
+            _random_dfa(rng)
+            if i % 3 == 0
+            else random_nfa(rng, rng.choice(alphabets), max_states=5, edges_per_state=3)
+        )
+        b = random_nfa(rng, rng.choice(alphabets), max_states=5, edges_per_state=3)
+        reference = reference_product(a, b)
+        assert _product(a, b) == reference
+        meet = intersect(a, b)
+        assert meet == trim(reference)
+        assert _marks(meet) == {"_trimmed": True, "_has_epsilon": False}
+        complemented = reference_product(a, complement(b, reference.alphabet))
+        d = difference(a, b)
+        assert d == minimize(complemented)
+        # both branches, the minimal DFA and the trimmed NFA, mark their value
+        assert _marks(d) == {"_trimmed": True, "_has_epsilon": False}
+        if _is_dfa(complemented):
+            deterministic += 1
+        else:
+            nondeterministic += 1
+            assert d == trim(complemented)
+    assert deterministic >= 50 and nondeterministic >= 50
+
+
+_HASH_SEED_SCRIPT = """
+import random
+from cflsep.nfa import Nfa, difference, intersect, shortest_common_word, to_dot
+
+rng = random.Random(41)
+
+
+def nfa(n, alphabet):
+    labels = alphabet + (None,)
+    edges = {(rng.randrange(n), rng.choice(labels), rng.randrange(n)) for _ in range(4 * n)}
+    return Nfa(n, alphabet, frozenset(edges), 0, frozenset(range(0, n, 3)))
+
+
+for _ in range(10):
+    a, b = nfa(8, ("a", "b")), nfa(6, ("b", "c"))
+    print(to_dot(intersect(a, b)))
+    print(to_dot(difference(a, b)))
+    print(to_dot(difference(difference(b, a), a)))
+    print(shortest_common_word([a, b, a], ("c", "b", "a")))
+"""
+
+
+def test_library_results_do_not_depend_on_the_hash_seed():
+    # several targets on one (state, symbol): their order must come from the
+    # state numbers, not from the hash-seeded iteration order of the edges
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("digraph") == 30
