@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .grammar import Cfg, Production, Symbol, fresh_name, nt, sccs
-from .nfa import Nfa, trim
+from .nfa import Nfa, _nfa, trim
 
 
 class ApproximationError(ValueError):
@@ -24,7 +24,7 @@ def sigma_star(alphabet: tuple[str, ...] | list[str]) -> Nfa:
     """Single-state automaton accepting every word over ``alphabet``."""
     alpha = tuple(dict.fromkeys(alphabet))
     transitions = frozenset((0, sym, 0) for sym in alpha)
-    return Nfa(1, alpha, transitions, 0, frozenset({0}))
+    return _nfa(1, alpha, transitions, 0, frozenset({0}), _trimmed=True, _has_epsilon=False)
 
 
 def _block_kind(block: tuple[str, ...], prods: Iterable[Production]) -> str | None:
@@ -129,6 +129,12 @@ class _Builder:
             _block_kind(block, (p for c in block for p in self._by_lhs[c]))
             for block in self.partition.blocks
         ]
+        # a flat nonterminal's right-hand sides, last first: its tasks as pushed
+        self._flat = {
+            v: [p.rhs for p in reversed(prods)]
+            for v, prods in self._by_lhs.items()
+            if self._kinds[self.partition.index[v]] == "flat"
+        }
 
     def fresh_state(self) -> int:
         self.num_states += 1
@@ -137,35 +143,42 @@ class _Builder:
     def emit(self, q0: int, seq: tuple[Symbol, ...], q1: int) -> None:
         """Add a path from q0 to q1 reading ``seq``.
 
-        Works off an explicit stack of (from, symbols, to) tasks, first task
-        on top, so deep or long rules cannot exhaust the recursion limit and
-        fresh states are numbered as a left-to-right expansion meets them.
+        Works off an explicit stack of (from, rhs, index, to) tasks, each a
+        path reading ``rhs[index:]``, first task on top, so deep or long rules
+        cannot exhaust the recursion limit and fresh states are numbered as a
+        left-to-right expansion meets them. Flat nonterminals are expanded in
+        the loop; recursive blocks by ``expand_block``.
         """
-        stack = [(q0, seq, q1)]
+        add, flat = self.transitions.add, self._flat
+        stack = [(q0, seq, 0, q1)]
+        pop, push, extend = stack.pop, stack.append, stack.extend
         while stack:
-            q0, seq, q1 = stack.pop()
-            if not seq:
-                self.transitions.add((q0, None, q1))
+            q0, rhs, i, q1 = pop()
+            if i == len(rhs):
+                add((q0, None, q1))
                 continue
-            if len(seq) >= 2:
-                # the first symbol runs to a fresh state; the rest waits
-                mid = self.fresh_state()
-                stack.append((mid, seq[1:], q1))
+            sym = rhs[i]
+            if i + 1 < len(rhs):
+                # the symbol runs to a fresh state; the rest waits
+                mid = self.num_states
+                self.num_states += 1
+                push((mid, rhs, i + 1, q1))
                 q1 = mid
-            if seq[0].terminal:
-                self.transitions.add((q0, seq[0].name, q1))
+            if sym.terminal:
+                add((q0, sym.name, q1))
+            elif sym.name in flat:
+                extend([(q0, seq, 0, q1) for seq in flat[sym.name]])
             else:
-                stack.extend(reversed(self.expand_nonterminal(q0, seq[0].name, q1)))
+                extend(reversed(self.expand_block(q0, sym.name, q1)))
 
-    def expand_nonterminal(
+    def expand_block(
         self, q0: int, var: str, q1: int
-    ) -> list[tuple[int, tuple[Symbol, ...], int]]:
-        """The emit tasks, in order, of a path from q0 to q1 derived from ``var``."""
+    ) -> list[tuple[int, tuple[Symbol, ...], int, int]]:
+        """The emit tasks, in order, of a path from q0 to q1 derived from
+        ``var``, a member of a recursive block."""
         block_id = self.partition.index[var]
         block = self.partition.blocks[block_id]
         kind = self._kinds[block_id]
-        if kind == "flat":
-            return [(q0, p.rhs, q1) for p in self._by_lhs[var]]
         if kind is None:
             raise ApproximationError(
                 f"block {block} is not uniformly left- or right-linear"
@@ -178,17 +191,17 @@ class _Builder:
             for c in block:
                 for p in self._by_lhs[c]:
                     if all(s.terminal or s.name not in members for s in p.rhs):
-                        tasks.append((q0, p.rhs, state_of[c]))
+                        tasks.append((q0, p.rhs, 0, state_of[c]))
                     else:
-                        tasks.append((state_of[p.rhs[0].name], p.rhs[1:], state_of[c]))
+                        tasks.append((state_of[p.rhs[0].name], p.rhs, 1, state_of[c]))
             self.transitions.add((state_of[var], None, q1))
         else:  # right or cyclic
             for c in block:
                 for p in self._by_lhs[c]:
                     if all(s.terminal or s.name not in members for s in p.rhs):
-                        tasks.append((state_of[c], p.rhs, q1))
+                        tasks.append((state_of[c], p.rhs, 0, q1))
                     else:
-                        tasks.append((state_of[c], p.rhs[:-1], state_of[p.rhs[-1].name]))
+                        tasks.append((state_of[c], p.rhs[:-1], 0, state_of[p.rhs[-1].name]))
             self.transitions.add((q0, None, state_of[var]))
         return tasks
 
@@ -207,14 +220,8 @@ def make_fa(g: Cfg) -> Nfa:
     q0 = builder.fresh_state()
     qf = builder.fresh_state()
     builder.emit(q0, (nt(g.start),), qf)
-    auto = Nfa(
-        builder.num_states,
-        g.terminals,
-        frozenset(builder.transitions),
-        q0,
-        frozenset({qf}),
-    )
-    return trim(auto)
+    transitions = frozenset(builder.transitions)
+    return trim(_nfa(builder.num_states, g.terminals, transitions, q0, frozenset({qf})))
 
 
 def nederhof(g: Cfg) -> Nfa:

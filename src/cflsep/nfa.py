@@ -4,8 +4,8 @@ States are dense integers local to each automaton, and values are immutable,
 so automata can be shared freely. An operation whose result would equal its
 argument returns the argument itself: ``trim`` of a trim automaton,
 ``eliminate_epsilon`` of an epsilon-free one. A value records two facts about
-itself in its ``__dict__``: that ``trim`` returned it, and whether it has
-epsilon edges. This is not a caching layer: both are booleans about an
+itself in its ``__dict__``: that it is trim, and whether it has epsilon
+edges. This is not a caching layer: both are booleans about an
 immutable value, they take no part in ``==`` and ``hash``, and no index is
 kept. Every walk builds its own successor table with ``_table``: per state,
 one tuple of target states per alphabet column, sorted where a column has
@@ -15,6 +15,14 @@ Labels are terminal names (arbitrary strings) or ``None`` for epsilon.
 Determinization only happens inside complement/difference, which returns the
 trimmed minimal DFA of a deterministic product; everything else stays
 nondeterministic.
+
+Validation happens at the public boundary, where values come in from
+outside: ``Nfa(...)`` and ``dataclasses.replace`` check that alphabet symbols
+are unique, that the initial state, the accepting states and every
+transition endpoint are in range, and that every label is epsilon or in the
+alphabet. A value whose states a kernel numbered itself is valid by
+construction and is built directly by ``_nfa``, which checks nothing and
+records the marks the kernel knows.
 """
 
 from __future__ import annotations
@@ -57,6 +65,29 @@ class Nfa:
         if "_has_epsilon" not in self.__dict__:
             self.__dict__["_has_epsilon"] = any(x is None for _, x, _ in self.transitions)
         return self.__dict__["_has_epsilon"]
+
+
+def _nfa(
+    num_states: int,
+    alphabet: tuple[str, ...],
+    transitions: frozenset[tuple[int, str | None, int]],
+    initial: int,
+    accepting: frozenset[int],
+    **marks: bool,
+) -> Nfa:
+    """An ``Nfa`` set up without the checks of ``__post_init__``, for kernels
+    whose output is valid by construction; ``marks`` are the ``_trimmed`` and
+    ``_has_epsilon`` facts the kernel knows about it."""
+    a = object.__new__(Nfa)
+    a.__dict__.update(
+        num_states=num_states,
+        alphabet=alphabet,
+        transitions=transitions,
+        initial=initial,
+        accepting=accepting,
+        **marks,
+    )
+    return a
 
 
 def _merge_alphabets(*alphabets: Sequence[str]) -> tuple[str, ...]:
@@ -113,7 +144,10 @@ def word_automaton(word: Sequence[str]) -> Nfa:
     """Chain automaton recognizing exactly ``word``: one transition per symbol."""
     word = tuple(word)
     transitions = frozenset((i, word[i], i + 1) for i in range(len(word)))
-    return Nfa(len(word) + 1, _merge_alphabets(word), transitions, 0, frozenset({len(word)}))
+    return _nfa(
+        len(word) + 1, _merge_alphabets(word), transitions, 0, frozenset({len(word)}),
+        _trimmed=True, _has_epsilon=False,
+    )
 
 
 def eliminate_epsilon(a: Nfa) -> Nfa:
@@ -141,7 +175,10 @@ def eliminate_epsilon(a: Nfa) -> Nfa:
                     transitions.add((q, x, r))
         if not closure.isdisjoint(a.accepting):
             accepting.add(q)
-    return Nfa(a.num_states, a.alphabet, frozenset(transitions), a.initial, frozenset(accepting))
+    return _nfa(
+        a.num_states, a.alphabet, frozenset(transitions), a.initial, frozenset(accepting),
+        _has_epsilon=False,
+    )
 
 
 def trim(a: Nfa) -> Nfa:
@@ -170,10 +207,10 @@ def trim(a: Nfa) -> Nfa:
             if renum[q] >= 0 and renum[r] >= 0
         )
         accepting = frozenset(renum[q] for q in a.accepting if renum[q] >= 0)
-        epsilon_free = a.__dict__.get("_has_epsilon") is False
-        a = Nfa(len(useful), a.alphabet, transitions, renum[a.initial], accepting)
-        if epsilon_free:
-            a.__dict__["_has_epsilon"] = False
+        marks = {"_trimmed": True}
+        if a.__dict__.get("_has_epsilon") is False:  # known epsilon-free: stays known
+            marks["_has_epsilon"] = False
+        return _nfa(len(useful), a.alphabet, transitions, renum[a.initial], accepting, **marks)
     a.__dict__["_trimmed"] = True
     return a
 
@@ -242,9 +279,10 @@ def _minimal(
                     order.append(r)
                 transitions.append((src, x, dst))
     final = frozenset(i for i, q in enumerate(order) if q in accepting)
-    m = Nfa(max(len(order), 1), alphabet, frozenset(transitions), 0, final)
-    m.__dict__.update(_trimmed=True, _has_epsilon=False)
-    return m
+    return _nfa(
+        max(len(order), 1), alphabet, frozenset(transitions), 0, final,
+        _trimmed=True, _has_epsilon=False,
+    )
 
 
 def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
@@ -277,9 +315,7 @@ def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
     accepting = frozenset(
         idx for idx, subset in enumerate(subsets) if a.accepting.isdisjoint(subset)
     )
-    comp = Nfa(len(subsets), alpha, frozenset(transitions), 0, accepting)
-    comp.__dict__["_has_epsilon"] = False  # epsilon-free by construction: no scan
-    return comp
+    return _nfa(len(subsets), alpha, frozenset(transitions), 0, accepting, _has_epsilon=False)
 
 
 def _product_rows(
@@ -334,9 +370,7 @@ def _as_nfa(
     """The automaton of a product walk, marked epsilon-free."""
     transitions = {(q, x, r) for q, row in enumerate(rows) for x, r in zip(alpha, row) if r >= 0}
     transitions.update((q, alpha[c], r) for q, c, r in more)
-    product = Nfa(len(rows), alpha, frozenset(transitions), 0, accepting)
-    product.__dict__["_has_epsilon"] = False  # epsilon-free by construction: no scan
-    return product
+    return _nfa(len(rows), alpha, frozenset(transitions), 0, accepting, _has_epsilon=False)
 
 
 def _product(a: Nfa, b: Nfa) -> Nfa:
@@ -361,7 +395,9 @@ def union(*parts: Nfa) -> Nfa:
         accepting |= {q + offset for q in p.accepting}
         offset += p.num_states
     alpha = _merge_alphabets(*(p.alphabet for p in parts))
-    return Nfa(offset, alpha, frozenset(transitions), 0, frozenset(accepting))
+    return _nfa(
+        offset, alpha, frozenset(transitions), 0, frozenset(accepting), _has_epsilon=bool(parts)
+    )
 
 
 def difference(a: Nfa, b: Nfa) -> Nfa:

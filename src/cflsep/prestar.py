@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .grammar import Cfg, GrammarError, Production, fresh_name, is_normal_form, normalize, nt
-from .nfa import Nfa, eliminate_epsilon, trim, word_automaton
+from .nfa import Nfa, _nfa, eliminate_epsilon, trim, word_automaton
 
 
 @lru_cache(maxsize=16)  # one slot per grammar a query decides: up to 10 in the benchmark
@@ -299,5 +299,10 @@ class PrestarSession:
         return True
 
     def automaton(self) -> Nfa:
-        """Base automaton plus every committed edge."""
-        return replace(self.base, transitions=self.base.transitions.union(*self.edges))
+        """Base automaton plus every committed edge. Over a word, ``try_add``
+        checked each edge against the chain; over an automaton it checked
+        only the endpoints, so the labels are checked here."""
+        base, transitions = self.base, self.base.transitions.union(*self.edges)
+        if self.word is None:
+            return replace(base, transitions=transitions)
+        return _nfa(base.num_states, base.alphabet, transitions, base.initial, base.accepting)

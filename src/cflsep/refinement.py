@@ -19,11 +19,11 @@ witness is in the language at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .grammar import Cfg, GrammarError
-from .nfa import Nfa, union
+from .nfa import Nfa, _nfa, union
 from .prestar import PrestarSession
 from .prestar import intersects  # noqa: F401  unused; bench/tracer.py patches refinement.intersects
 
@@ -78,7 +78,13 @@ def gen_language(sg: StarGeneralization) -> Nfa:
     edges: ``gen_language(R).transitions ⊆ gen_language(R ∪ {r}).transitions``.
     Built without recursion, ranges by increasing span.
     """
-    word, n = sg.word, len(sg.word)
+    return _position_automaton(sg.word, sg.ranges)
+
+
+def _position_automaton(word: tuple[str, ...], ranges: Iterable[tuple[int, int]]) -> Nfa:
+    """``gen_language`` of ``word`` and ``ranges``, which must be in bounds and
+    nested or disjoint, as ``StarGeneralization`` checks."""
+    n = len(word)
     edges: set[tuple[int, str | None, int]] = set()
     # built ranges not yet inside a built range, by start: (end, nullable, first, last)
     pending: dict[int, tuple[int, bool, set[int], set[int]]] = {}
@@ -98,13 +104,14 @@ def gen_language(sg: StarGeneralization) -> Nfa:
             nullable, last, pos = nullable and c_nullable, c_last, end
         return first, last
 
-    for lo, hi in sorted(sg.ranges, key=lambda r: r[1] - r[0]):
+    for lo, hi in sorted(ranges, key=lambda r: r[1] - r[0]):
         first, last = concat(lo, hi, set())
         edges.update((p, word[q - 1], q) for p in last for q in first)
         pending[lo] = (hi, True, first, last)
     _, last = concat(0, n, {0})  # state 0 precedes the first positions
     edges.update((p, None, n + 1) for p in last)
-    return Nfa(n + 2, tuple(dict.fromkeys(word)), frozenset(edges), 0, frozenset({n + 1}))
+    alphabet = tuple(dict.fromkeys(word))
+    return _nfa(n + 2, alphabet, frozenset(edges), 0, frozenset({n + 1}), _has_epsilon=True)
 
 
 def _session(g: Cfg, base: Nfa | Sequence[str]) -> PrestarSession:
@@ -129,17 +136,18 @@ def _eps_candidates(word: tuple[str, ...]) -> list[tuple[tuple[int, str | None, 
 class _StarSession:
     """Accepted star ranges of one word, in PrestarSession's protocol: a range
     is tried on one session over the word's position automaton, as the batch
-    of edges that starring it adds to ``gen_language`` of the accepted ones."""
+    of edges that starring it adds to ``gen_language`` of the accepted ones.
+    The walk tries no range that crosses an accepted one."""
 
     def __init__(self, g: Cfg, w: tuple[str, ...]) -> None:
         self.word = w
         self.edges: list[tuple[int, int]] = []
-        base = gen_language(StarGeneralization(w, frozenset()))
+        base = _position_automaton(w, ())
         self.session = _session(g, base)
         self.built = [base.transitions]  # after each accepted range
 
     def try_add(self, r: tuple[int, int]) -> bool:
-        built = gen_language(StarGeneralization(self.word, frozenset(self.edges) | {r})).transitions
+        built = _position_automaton(self.word, (*self.edges, r)).transitions
         # in a fixed order, not the set's hash order (an edge's ends fix its label)
         ok = self.session.try_add(sorted(built - self.built[-1], key=lambda e: (e[0], e[2])))
         if ok:
@@ -228,9 +236,7 @@ def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) 
     w = tuple(w)
     candidates = _star_candidates(len(w))
     leaves = _walk(_StarSession(g, w), candidates, budget, _crosses_any)
-    return _union_of_maxima(
-        leaves, candidates, lambda ranges: gen_language(StarGeneralization(w, ranges))
-    )
+    return _union_of_maxima(leaves, candidates, lambda ranges: _position_automaton(w, ranges))
 
 
 def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
@@ -239,6 +245,10 @@ def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -
     base = session.base
     candidates = _eps_candidates(session.word)
     leaves = _walk(session, candidates, budget)
-    return _union_of_maxima(
-        leaves, candidates, lambda batches: replace(base, transitions=base.transitions.union(*batches))
-    )
+
+    def leaf_automaton(batches: frozenset) -> Nfa:
+        # every edge passed the session's checks against the word's chain
+        transitions = base.transitions.union(*batches)
+        return _nfa(base.num_states, base.alphabet, transitions, base.initial, base.accepting)
+
+    return _union_of_maxima(leaves, candidates, leaf_automaton)

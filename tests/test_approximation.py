@@ -1,4 +1,6 @@
+import hashlib
 import random
+import runpy
 
 import pytest
 
@@ -10,6 +12,8 @@ from cflsep.approximation import (
     strongly_regular,
 )
 import cflsep.grammar as grammar_mod
+from cflsep.grammar_io import parse_named
+from cflsep.nfa import to_dot
 
 from oracles import (
     accepts,
@@ -22,7 +26,7 @@ from oracles import (
     regex_to_nfa,
     star,
 )
-from support import DEEP_CHAIN, LONG_RULE, grammar, random_cfg, words_upto
+from support import DEEP_CHAIN, FIXTURES, LONG_RULE, grammar, random_cfg, words_upto
 
 ANCBN = grammar('grammar G { start A; A -> "a" B "b" | "c"; B -> A; }')
 A_STAR_C_B_STAR = regex_to_nfa(cat(star(lit("a")), lit("c"), star(lit("b"))))
@@ -164,3 +168,59 @@ def test_nederhof_long_and_deep_rules_do_not_recurse(text, word):
     a = nederhof(grammar(text))
     assert accepts(a, word)
     assert not accepts(a, word[1:])
+
+
+# sha256 of the to_dot of every grammar's Nederhof approximation, in file
+# order, for each fixture and for the first seed-1 query of each benchmark
+# grammar shape: --dump-approx files show these state numbers, so make_fa
+# must number fresh states in this order
+NEDERHOF_DIGESTS = {
+    "anbn.cfg": "06996e9e1e74aa6872ee45ee1a849c2dd891f1f70b10bb0d2acac5fb8de63478",
+    "c1.cfg": "e0e7df3232cbff8147482a341534f6c6b11ad1d770f71d52312b80e3585f0934",
+    "c1c7.cfg": "d634be414b64bf525bc67512204a7adadac3756f2c6bc0099c1e69b3b01fb807",
+    "c1c8.cfg": "2785bb863159ea78db1c7a3550cfec49c98ffc921719d2194fb4ab15bf607862",
+    "c2.cfg": "79c2516c6b15f19100147bd5a78add7d0d04c1e9fba4458be8bec51affa37e12",
+    "c2c3.cfg": "1e9451a946699d1ac1bf9722b9721b9646430b25ae36271fa72e8eb2e7b0968e",
+    "c2c4.cfg": "5a08c4d08206e1fec689655f6ccc49f7b397f65ce74e1aaf19eb904c23457a76",
+    "c3.cfg": "e092b2011f36e11a7dec9716644e8474214352b7d544e6a68f72c73651669e0d",
+    "c3c4.cfg": "330707956044692fd8407eb124b8161b3b2bdc87fc69dde662b51079a6a39855",
+    "c4.cfg": "b8f906db19efeea1a24fa0cb385d76536b89a79b8e0c60159bad6360739ad629",
+    "c5.cfg": "9cf88f9a13b0d0c8f43c9895234bc43dbbc3e51f838759b45b540369b306e5ec",
+    "c5c6.cfg": "48b9ddbc621f2dab23e216720bcf13fc19dc98c3c501b033319de6d8449096ed",
+    "c5c7.cfg": "710dad12bd1fdd54bea30e14f667c5b4e3c640e07fe016b4bf0aef7ec6b2f04d",
+    "c5c8.cfg": "efd3217e7749f21f16e8e0291d88552c6c405286929a50f70a6a4851af8c265b",
+    "c6.cfg": "6fd5c669cf1715627e1884e0dff3409a33ff0bbf3f7206bbef193a62cb892790",
+    "c6c7.cfg": "94d987e611b1c79ceb0771e53e4f0f82fb74183df9adbb1ac9c0d3439fad0a5f",
+    "c6c8.cfg": "b342f9e5a57d4f8d6b5f98f44a7ebd216b6bdee4939fb006f1c8791f39ec576a",
+    "c7.cfg": "91d66680cabb14d8e0b06192a370b6b2c2a779d885581854c83486177054f818",
+    "c7c8.cfg": "7b71512f1acddd018844f97c06c968aa52779e24b500b3fa1abe6e5eaf0022fd",
+    "c8.cfg": "5aa29063dbbbadd30785457c17251bbc4dfe65e1745ea1b57493fbe3f7e91171",
+    "dag9": "8bf8cba78d02bf7fd232f3c753601701e46a26c0055120bb17fab01511e86a04",
+    "g1g2.cfg": "48b9ddbc621f2dab23e216720bcf13fc19dc98c3c501b033319de6d8449096ed",
+    "pal3-01": "8e5f4a92950cfac45a54db05e7203708f5f42f42d2bb63de28e42a8012766505",
+    "pal3-20": "60bd0c97323f84253f739aa3e73cc9cdb21076e7a11e60c37eb4988bdb2bf838",
+    "pal4-01": "09f88c32999f42666961a4afa0e8620d8be156fdf8f1244f4bd2ba2a34baee36",
+    "pal4-32": "d4696f8983d464be8f0460c7c07fbfcb55581dad9243c4d884620cc6b2b44bd4",
+    "palindrome.cfg": "237f327bc229363208d95d54cc8af78ce263072e72e1e3a61c26a622e88c40ac",
+    "sharedmem.cfg": "30df86ba37b6405c9a4c084e0f0c3311b2ab593d4631f3fa7a5368636eb9a37a",
+    "shm2": "13b32b74e4adc0444465e8ab033318a4d3dd1ffd84532f29467561f5850795ba",
+    "shm3": "e90dfba32fcbb742f19be6a2bbec0a5f24d940c94f236238f906fd3409b33352",
+    "shm4": "ce4885f678d3e76ce653f3bd3f76c4785fa73818865bb3afdd49f83e1e870b47",
+    "shm5": "81e237f33c14d5419f48329b94bd8a49607ac2e804d465693e0607bfa76665bc",
+}
+
+
+def test_nederhof_state_numbering_is_pinned():
+    texts = {path.name: path.read_text() for path in sorted(FIXTURES.glob("*.cfg"))}
+    queries = runpy.run_path(str(FIXTURES.parent / "bench" / "workloads.py"))["queries"]
+    for q in queries("big-automata", 1):
+        shape = q.key.split("/")[1]  # e.g. big-automata/dag9/nederhof/greedy-eps
+        if shape in NEDERHOF_DIGESTS:
+            texts.setdefault(shape, q.text)
+    digests = {
+        name: hashlib.sha256(
+            "".join(to_dot(nederhof(g)) for _, g in parse_named(text)).encode()
+        ).hexdigest()
+        for name, text in texts.items()
+    }
+    assert digests == NEDERHOF_DIGESTS

@@ -172,6 +172,16 @@ def test_main_overlap_with_witness(capsys):
     assert out.splitlines()[0] == 'VERDICT: OVERLAP witness="a c a"'
 
 
+def test_python_dash_m_cflsep_runs_the_command_line():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "cflsep", fixture("c2c3.cfg")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == EXIT_OVERLAP, run.stderr
+    assert run.stdout.splitlines() == ['VERDICT: OVERLAP witness="a c a"', "iterations=0"]
+
+
 def test_main_missing_file(capsys):
     code = main(["no-such-file.cfg"])
     assert code == EXIT_USAGE

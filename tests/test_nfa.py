@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cflsep.approximation import nederhof
+from cflsep.approximation import nederhof, sigma_star
 from cflsep.nfa import (
     Nfa,
+    _merge_alphabets,
     _product,
     complement,
     difference,
@@ -27,6 +28,16 @@ from cflsep.nfa import (
     union,
     word_automaton,
 )
+from cflsep.prestar import PrestarSession, in_language
+from cflsep.refinement import (
+    StarGeneralization,
+    _crosses,
+    _eps_candidates,
+    eps_generalize,
+    gen_language,
+    max_eps_generalize,
+    max_star_generalize,
+)
 
 from oracles import (
     accepts,
@@ -39,7 +50,7 @@ from oracles import (
     regex_to_nfa,
     star,
 )
-from support import FIXTURES, hand_nfa, load_fixture, random_nfa, words_upto
+from support import FIXTURES, hand_nfa, load_fixture, random_cfg, random_nfa, words_upto
 
 SIGMA_STAR = hand_nfa(1, ("a", "b"), {(0, "a", 0), (0, "b", 0)}, 0, {0})
 
@@ -263,10 +274,25 @@ def test_to_dot_shape():
 
 
 def test_nfa_validation():
-    with pytest.raises(ValueError):
-        Nfa(1, ("a",), frozenset({(0, "b", 0)}), 0, frozenset())
-    with pytest.raises(ValueError):
-        Nfa(1, ("a",), frozenset(), 2, frozenset())
+    # every check of Nfa(...), each also through dataclasses.replace: values
+    # from outside come in there, and kernels build theirs without checks
+    valid = Nfa(2, ("a",), frozenset({(0, "a", 1)}), 0, frozenset({1}))
+    invalid = [
+        ({"transitions": frozenset({(0, "b", 1)})}, "label 'b' not in alphabet"),
+        ({"initial": 2}, "initial state out of range"),
+        ({"initial": -1}, "initial state out of range"),
+        ({"alphabet": ("a", "a")}, "alphabet symbols must be unique"),
+        ({"transitions": frozenset({(0, "a", 2)})}, "transition endpoint out of range"),
+        ({"transitions": frozenset({(-1, None, 1)})}, "transition endpoint out of range"),
+        ({"accepting": frozenset({2})}, "accepting state out of range"),
+        ({"accepting": frozenset({-1})}, "accepting state out of range"),
+    ]
+    for change, message in invalid:
+        fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(Nfa)}
+        with pytest.raises(ValueError, match=message):
+            Nfa(**{**fields, **change})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(valid, **change)
 
 
 @st.composite
@@ -575,6 +601,82 @@ def test_product_intersect_and_difference_equal_the_reference_product():
             nondeterministic += 1
             assert d == trim(complemented)
     assert deterministic >= 50 and nondeterministic >= 50
+
+
+# --- kernel outputs are valid values -----------------------------------------
+
+
+def _kernel_outputs(rng: random.Random) -> tuple[dict[str, list[Nfa]], int, int]:
+    """Outputs of every kernel that builds its values without the checks of
+    ``Nfa(...)``, by kernel name, and how many differences took the DFA and
+    the NFA branch."""
+    samples = _sample_automata()
+    out: dict[str, list[Nfa]] = {}
+
+    def put(name: str, value: Nfa) -> None:
+        out.setdefault(name, []).append(value)
+
+    for a in samples:
+        put("trim", trim(a))
+        put("eliminate_epsilon", eliminate_epsilon(a))
+        put("complement", complement(a, ("c", "a")))
+        put("minimize", minimize(complement(a)))
+        put("minimize", minimize(a))
+    for _ in range(100):
+        a, b = rng.choice(samples), rng.choice(samples)
+        put("intersect", intersect(a, b))
+        put("union", union(a, b, rng.choice(samples)))
+    put("union", union())
+    deterministic = nondeterministic = 0
+    alphabets = (("a", "b"), ("b", "c"), ("c", "a", "b"))
+    for i in range(300):
+        a = (
+            _random_dfa(rng)
+            if i % 3 == 0
+            else random_nfa(rng, rng.choice(alphabets), max_states=5, edges_per_state=3)
+        )
+        b = random_nfa(rng, rng.choice(alphabets), max_states=5, edges_per_state=3)
+        put("difference", difference(a, b))
+        if _is_dfa(_product(a, complement(b, _merge_alphabets(a.alphabet, b.alphabet)))):
+            deterministic += 1
+        else:
+            nondeterministic += 1
+    for _ in range(60):
+        word = tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
+        put("word_automaton", word_automaton(word))
+        ranges: set[tuple[int, int]] = set()
+        for _ in range(4):
+            r = tuple(sorted(rng.sample(range(len(word) + 1), 2))) if word else (0, 0)
+            if r[0] < r[1] and not any(_crosses(r, kept) for kept in ranges):
+                ranges.add(r)
+        put("gen_language", gen_language(StarGeneralization(word, frozenset(ranges))))
+    grammars = [g for path in sorted(FIXTURES.glob("*.cfg")) for g in load_fixture(path.name)]
+    grammars += [random_cfg(rng) for _ in range(30)]
+    for g in grammars:
+        put("nederhof", nederhof(g))
+        put("sigma_star", sigma_star(g.terminals))
+        outside = [w for w in words_upto(g.terminals[:2], 2) if not in_language(g, w)]
+        for w in outside[:2]:
+            put("PrestarSession.automaton", eps_generalize(w, g))
+            session = PrestarSession(g, w)
+            for batch in _eps_candidates(w)[::2]:
+                session.try_add(batch)
+            put("PrestarSession.automaton", session.automaton())
+            put("max_star_generalize", max_star_generalize(g, w))
+            put("max_eps_generalize", max_eps_generalize(g, w))
+    return out, deterministic, nondeterministic
+
+
+def test_kernel_outputs_pass_public_validation():
+    # kernels number their states themselves and skip the checks of Nfa(...);
+    # rebuilding each output through them must neither raise nor change it
+    outputs, deterministic, nondeterministic = _kernel_outputs(random.Random(43))
+    for name, values in outputs.items():
+        for v in values:
+            rebuilt = Nfa(v.num_states, v.alphabet, v.transitions, v.initial, v.accepting)
+            assert rebuilt == v, name
+    assert deterministic >= 50 and nondeterministic >= 50
+    assert all(any(v.transitions for v in values) for values in outputs.values())
 
 
 _HASH_SEED_SCRIPT = """

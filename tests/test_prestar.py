@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cflsep.grammar import GrammarError, normalize
 from cflsep.grammar_io import parse_file
-from cflsep.nfa import word_automaton
+from cflsep.nfa import Nfa, word_automaton
 from cflsep.prestar import PrestarSession, _context, _rules, _Saturator, in_language, intersects, prestar
 from cflsep.refinement import gen_language, StarGeneralization
 
@@ -381,6 +381,20 @@ def test_batches_over_a_base_automaton_are_all_or_nothing():
     assert session.try_add(backward) == expected
     with pytest.raises(GrammarError):
         session.try_add([(0, None, 4)])  # no state 4
+
+
+def test_session_automaton_checks_labels_over_a_base_automaton():
+    # over an automaton, try_add checks only the endpoints, so a label
+    # outside the base's alphabet reaches automaton(), which rejects it as
+    # Nfa(...) does; over a word every edge was checked against the chain
+    session = PrestarSession(AIBI1, word_automaton(("a", "b")))
+    assert session.try_add([(0, "z", 1)])
+    with pytest.raises(ValueError, match="label 'z' not in alphabet"):
+        session.automaton()
+    over_word = PrestarSession(AIBI1, ("a", "a", "b"))
+    assert over_word.try_add([(0, None, 1)])
+    a = over_word.automaton()
+    assert a == Nfa(a.num_states, a.alphabet, a.transitions, a.initial, a.accepting)
 
 
 def test_intersects_agrees_with_brute_force():
