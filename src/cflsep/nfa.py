@@ -479,7 +479,7 @@ def to_dot(a: Nfa, name: str = "nfa") -> str:
         lines.append(f'  q{q} [shape={shape}, label="{q}"];')
     lines.append(f"  __start -> q{a.initial};")
     for q, x, r in sorted(a.transitions, key=lambda t: (t[0], t[2], t[1] or "")):
-        label = "ε" if x is None else x
+        label = "ε" if x is None else x.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  q{q} -> q{r} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -20,18 +20,19 @@ tail is the worklist. Saturation can stop at a goal, the start symbol
 spanning initial to accepting, which stays met once met. A grammar's normal
 form and rule indexes are built once per ``Cfg`` value and shared read-only.
 
-A PrestarSession also derives context triples, seeded with (accepting, S^,
-initial): (r, X^, q) means some u leads from the initial state to q, some v
-from r to an accepting state, and S =>* u X v, with ε^ the hole. So (r, x^, q)
-rejects the edge (q, x, r), and any batch of edges holding it, by one lookup;
-other batches are saturated up to the goal and kept or truncated back whole.
+A PrestarSession saturates a base automaton once and takes batches of edges
+between its states, each labelled ε or by a symbol of its alphabet. It also
+derives context triples, seeded with (accepting, S^, initial): (r, X^, q)
+means some u leads from the initial state to q, some v from r to an
+accepting state, and S =>* u X v, with ε^ the hole. So (r, x^, q) rejects
+the edge (q, x, r), and any batch of edges holding it, by one lookup; other
+batches are saturated up to the goal and kept or truncated back whole.
 Sessions are single-owner mutable values.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -227,23 +228,20 @@ def in_language(g: Cfg, word: Sequence[str]) -> bool:
 class PrestarSession:
     """Incremental intersection-emptiness over a growing automaton.
 
-    The session saturates its ``base`` automaton once (a word stands for its
-    chain automaton) and then takes batches of edges between the base's
-    states through ``try_add``, all or nothing. A batch with an edge that a
-    context triple puts in a word of L(g) is rejected by one lookup per edge;
-    any other is added whole and committed only if the start symbol still
-    spans no initial-to-accepting pair, and is otherwise rolled back exactly
-    with its triples. Over a word, every edge must have one of the two
-    epsilon-generalization shapes: a forward epsilon edge (i, ε, j) with
-    i < j, or a backward edge (j-1, w_j, i) with i < j that replays the
-    chain's own label.
+    The session saturates its ``base`` automaton once and then takes batches
+    of edges through ``try_add``, all or nothing; each edge must join two of
+    the base's states and be labelled ε or by a symbol of its alphabet. A
+    batch with an edge that a context triple puts in a word of L(g) is
+    rejected by one lookup per edge; any other is added whole and committed
+    only if the start symbol still spans no initial-to-accepting pair, and is
+    otherwise rolled back exactly with its triples. A session over a word is
+    one over its chain automaton, ``PrestarSession(g, word_automaton(w))``.
     """
 
-    def __init__(self, grammar: Cfg, base: Nfa | Sequence[str]) -> None:
-        self.word = None if isinstance(base, Nfa) else tuple(base)
-        self.base = base if self.word is None else word_automaton(self.word)
+    def __init__(self, grammar: Cfg, base: Nfa) -> None:
+        self.base = base
         self.edges: list[tuple[tuple[int, str | None, int], ...]] = []  # committed batches
-        self._sat = _Saturator(grammar, self.base, context=True)
+        self._sat = _Saturator(grammar, base, context=True)
         self._sat.saturate()
         self.grammar = self._sat.grammar
 
@@ -266,19 +264,8 @@ class PrestarSession:
         src, label, dst = edge
         if not (0 <= src < self.base.num_states and 0 <= dst < self.base.num_states):
             raise GrammarError(f"edge endpoints out of range: {edge}")
-        if self.word is None:
-            return
-        n = len(self.word)
-        if label is None:
-            if not src < dst:
-                raise GrammarError(f"epsilon edges must point forward: {edge}")
-        else:
-            if src >= n or label != self.word[src]:
-                raise GrammarError(
-                    f"backward edge must reuse the chain label {self.word[src] if src < n else '?'!r}: {edge}"
-                )
-            if dst > src:
-                raise GrammarError(f"labeled edges must point backward: {edge}")
+        if label is not None and label not in self.base.alphabet:
+            raise GrammarError(f"edge label {label!r} not in the base automaton's alphabet: {edge}")
 
     def try_add(self, batch: Iterable[tuple[int, str | None, int]]) -> bool:
         """Tentatively add a batch of edges; report acceptance."""
@@ -299,10 +286,7 @@ class PrestarSession:
         return True
 
     def automaton(self) -> Nfa:
-        """Base automaton plus every committed edge. Over a word, ``try_add``
-        checked each edge against the chain; over an automaton it checked
-        only the endpoints, so the labels are checked here."""
-        base, transitions = self.base, self.base.transitions.union(*self.edges)
-        if self.word is None:
-            return replace(base, transitions=transitions)
+        """Base automaton plus every committed edge, each checked by ``try_add``."""
+        base = self.base
+        transitions = base.transitions.union(*self.edges)
         return _nfa(base.num_states, base.alphabet, transitions, base.initial, base.accepting)

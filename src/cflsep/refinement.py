@@ -9,11 +9,13 @@ candidate order, include branch first, whose leaves are the valid
 generalizations. The greedy variants take its first leaf; the maximum
 variants union its subset-maximal leaves, within a node budget.
 
-Each walk tries its candidates on one incremental PrestarSession: an epsilon
-candidate is a one-edge batch on the chain automaton, and a star range is the
-batch of edges that starring it adds to the word's position automaton, whose
-states do not depend on the ranges. The base saturation decides whether the
-witness is in the language at all.
+The walk keeps the chosen candidates and tries each candidate on one
+incremental PrestarSession, as the batch of edges it adds to the chosen ones:
+an epsilon candidate is its own one-edge batch on the word's chain automaton,
+and a star range is the batch of edges that starring it adds to the word's
+position automaton, whose states do not depend on the ranges; a range that
+crosses a chosen one has no batch and is not tried. The base saturation
+decides whether the witness is in the language at all.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .grammar import Cfg, GrammarError
-from .nfa import Nfa, _nfa, union
+from .nfa import Nfa, _nfa, union, word_automaton
 from .prestar import PrestarSession
 from .prestar import intersects  # noqa: F401  unused; bench/tracer.py patches refinement.intersects
 
@@ -114,7 +116,7 @@ def _position_automaton(word: tuple[str, ...], ranges: Iterable[tuple[int, int]]
     return _nfa(n + 2, alphabet, frozenset(edges), 0, frozenset({n + 1}), _has_epsilon=True)
 
 
-def _session(g: Cfg, base: Nfa | Sequence[str]) -> PrestarSession:
+def _session(g: Cfg, base: Nfa) -> PrestarSession:
     session = PrestarSession(g, base)
     if session.intersects():  # the base saturation decides membership
         raise GrammarError("witness is in the language; it cannot be generalized")
@@ -133,68 +135,58 @@ def _eps_candidates(word: tuple[str, ...]) -> list[tuple[tuple[int, str | None, 
     return [((i, None, j),) for i, j in spans] + [((j - 1, word[j - 1], i),) for i, j in spans]
 
 
-class _StarSession:
-    """Accepted star ranges of one word, in PrestarSession's protocol: a range
-    is tried on one session over the word's position automaton, as the batch
-    of edges that starring it adds to ``gen_language`` of the accepted ones.
-    The walk tries no range that crosses an accepted one."""
+def _own_batch(chosen: Sequence, c: tuple) -> tuple:
+    return c  # an epsilon candidate is its own batch of edges
 
-    def __init__(self, g: Cfg, w: tuple[str, ...]) -> None:
-        self.word = w
-        self.edges: list[tuple[int, int]] = []
-        base = _position_automaton(w, ())
-        self.session = _session(g, base)
-        self.built = [base.transitions]  # after each accepted range
 
-    def try_add(self, r: tuple[int, int]) -> bool:
-        built = _position_automaton(self.word, (*self.edges, r)).transitions
+def _star_batches(w: tuple[str, ...], base: Nfa) -> Callable[[Sequence, tuple[int, int]], list | None]:
+    """The batch of a star range on a session over ``base``, the position
+    automaton of ``w``: the edges that starring it adds to ``gen_language`` of
+    the ranges chosen so far, or None for a range crossing one of them."""
+    built = [base.transitions]  # the position automaton's edges at each depth of the walk
+
+    def batch(chosen: Sequence[tuple[int, int]], r: tuple[int, int]) -> list | None:
+        if any(_crosses(r, a) for a in chosen):
+            return None
+        del built[len(chosen) + 1:]
+        built.append(_position_automaton(w, (*chosen, r)).transitions)
         # in a fixed order, not the set's hash order (an edge's ends fix its label)
-        ok = self.session.try_add(sorted(built - self.built[-1], key=lambda e: (e[0], e[2])))
-        if ok:
-            self.edges.append(r)
-            self.built.append(built)
-        return ok
+        return sorted(built[-1] - built[-2], key=lambda e: (e[0], e[2]))
 
-    def snapshot(self) -> tuple[tuple[int, int], int]:
-        return self.session.snapshot(), len(self.edges)
-
-    def rollback(self, token: tuple[tuple[int, int], int]) -> None:
-        mark, k = token
-        self.session.rollback(mark)
-        del self.edges[k:]
-        del self.built[k + 1:]
-
-
-def _crosses_any(accepted: Sequence[tuple[int, int]], r: tuple[int, int]) -> bool:
-    return any(_crosses(r, a) for a in accepted)
+    return batch
 
 
 def _walk(
-    session, candidates: Sequence, budget: float = math.inf, skip=None
+    session: PrestarSession, candidates: Sequence, batch: Callable, budget: float = math.inf
 ) -> Iterator[frozenset]:
     """Depth-first include/exclude walk over ``candidates``, include first,
-    yielding ``frozenset(session.edges)`` at each leaf: the first leaf is the
-    greedy choice. Nodes are counted against ``budget``; a candidate with
-    ``skip(edges, c)`` gets no node. Candidates are distinct and edges only
-    grow below an include, so no two nodes share edges and position."""
+    yielding the frozenset of the chosen candidates at each leaf: the first
+    leaf is the greedy choice. A candidate ``c`` is tried on ``session`` as
+    the edge batch ``batch(chosen, c)``; a None batch is not tried and gets
+    no node. Nodes are counted against ``budget``. Candidates are distinct
+    and the choice only grows below an include, so no two nodes share choice
+    and position."""
     nodes = 0
+    chosen: list = []
     stack: list[tuple[int | None, object]] = [(0, None)]  # (None, token): roll back
     while stack:
         idx, token = stack.pop()
         if idx is None:
             session.rollback(token)
+            chosen.pop()
             continue
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"budget of {budget} calls exhausted")
-        while skip and idx < len(candidates) and skip(session.edges, candidates[idx]):
+        while idx < len(candidates) and (edges := batch(chosen, candidates[idx])) is None:
             idx += 1
         if idx == len(candidates):
-            yield frozenset(session.edges)
+            yield frozenset(chosen)
             continue
         stack.append((idx + 1, None))
         token = session.snapshot()
-        if session.try_add(candidates[idx]):
+        if session.try_add(edges):
+            chosen.append(candidates[idx])
             stack += [(None, token), (idx + 1, None)]
 
 
@@ -217,7 +209,8 @@ def star_generalize(w: Sequence[str], g: Cfg) -> StarGeneralization:
     range is tried once, shortest span first, and kept when the language
     still avoids L(g); ranges crossing a kept one are not tried."""
     w = tuple(w)
-    leaf = next(_walk(_StarSession(g, w), _star_candidates(len(w)), skip=_crosses_any))
+    base = _position_automaton(w, ())
+    leaf = next(_walk(_session(g, base), _star_candidates(len(w)), _star_batches(w, base)))
     return StarGeneralization(w, leaf)
 
 
@@ -225,8 +218,9 @@ def eps_generalize(w: Sequence[str], g: Cfg) -> Nfa:
     """Greedy maximal epsilon generalization of ``w`` against ``L(g)``: forward
     epsilon edges (shortest span first), then backward edges, each kept when
     the saturation session shows L(g) still excluded."""
-    session = _session(g, w)
-    next(_walk(session, _eps_candidates(session.word)))  # the session now holds the first leaf
+    w = tuple(w)
+    session = _session(g, word_automaton(w))
+    next(_walk(session, _eps_candidates(w), _own_batch))  # the session now holds the first leaf
     return session.automaton()
 
 
@@ -234,17 +228,18 @@ def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) 
     """Union of every valid star generalization of ``w`` against ``L(g)``;
     raises BudgetExceededError once the walk visits more than ``budget`` nodes."""
     w = tuple(w)
+    base = _position_automaton(w, ())
     candidates = _star_candidates(len(w))
-    leaves = _walk(_StarSession(g, w), candidates, budget, _crosses_any)
+    leaves = _walk(_session(g, base), candidates, _star_batches(w, base), budget)
     return _union_of_maxima(leaves, candidates, lambda ranges: _position_automaton(w, ranges))
 
 
 def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
     """Union of every valid epsilon generalization of ``w`` against ``L(g)``."""
-    session = _session(g, w)
-    base = session.base
-    candidates = _eps_candidates(session.word)
-    leaves = _walk(session, candidates, budget)
+    w = tuple(w)
+    base = word_automaton(w)
+    candidates = _eps_candidates(w)
+    leaves = _walk(_session(g, base), candidates, _own_batch, budget)
 
     def leaf_automaton(batches: frozenset) -> Nfa:
         # every edge passed the session's checks against the word's chain

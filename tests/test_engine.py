@@ -1,5 +1,6 @@
 import functools
 import random
+import runpy
 import time
 
 import pytest
@@ -16,11 +17,11 @@ from cflsep.engine import (
 )
 from cflsep.grammar import GrammarError
 from cflsep.nfa import difference, is_empty, minimize
-from cflsep.prestar import in_language
+from cflsep.prestar import PrestarSession, in_language
 from cflsep.refinement import max_star_generalize
 
 from oracles import accepts, enumerate_words, equivalent_states
-from support import AIBI1, PALINDROME, grammar, load_fixture, random_cfg
+from support import AIBI1, FIXTURES, PALINDROME, grammar, load_fixture, random_cfg
 
 C3 = grammar('grammar C3 { start S; S -> "a" S "a" | "a" "c" "a"; }')
 C4 = grammar('grammar C4 { start S; S -> "a" S "b" | "a" "c" "b"; }')
@@ -233,3 +234,22 @@ def test_random_pairs_have_valid_verdicts():
             assert _joint_witness(verdict.approximations, shared) is None
             common = enumerate_words(g1, 6) & enumerate_words(g2, 6)
             assert not common
+
+
+def test_bench_tracer_finds_its_patch_points():
+    # bench/tracer.py wraps engine, refinement, prestar and nfa names at call
+    # time; renaming one of them would otherwise break only the traced benchmark
+    tracer_module = runpy.run_path(str(FIXTURES.parent / "bench" / "tracer.py"))
+    tracer = tracer_module["Tracer"]()
+    g1, g2 = load_fixture("g1g2.cfg")
+    originals = (engine.classify_witness, engine._generalize, PrestarSession.try_add)
+    tracer.install()
+    try:
+        verdicts = [check_disjoint([g1, g2], Config("sigma-star", s)) for s in ("greedy-star", "greedy-eps")]
+    finally:
+        tracer.remove()
+    assert (engine.classify_witness, engine._generalize, PrestarSession.try_add) == originals
+    assert all(isinstance(v, Separable) for v in verdicts)
+    assert {span[0] for span in tracer.spans} == set(tracer_module["LAYERS"])
+    counts = tracer.counts
+    assert counts["prestar.checks"] == counts["prestar.accepted"] + counts["prestar.reverts"] > 0

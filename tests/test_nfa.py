@@ -3,6 +3,7 @@ import dataclasses
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cflsep.approximation import nederhof, sigma_star
+from cflsep.grammar_io import parse_file
 from cflsep.nfa import (
     Nfa,
     _merge_alphabets,
@@ -271,6 +273,17 @@ def test_to_dot_shape():
     assert "doublecircle" in dot
     assert 'q0 -> q1 [label="a"]' in dot
     assert dot.startswith("digraph")
+
+
+def test_to_dot_escapes_labels():
+    # a terminal may be a backslash, and an automaton label any string; each
+    # DOT string must still end at its own closing quote
+    (g,) = parse_file('grammar G { start S; S -> "\\" S | "x"; }')
+    assert '  q2 -> q2 [label="\\\\"];' in to_dot(nederhof(g)).splitlines()
+    a = Nfa(2, ("\\", '"', 'a\\"b'), frozenset({(0, "\\", 1), (1, '"', 0), (0, 'a\\"b', 0)}), 0, frozenset({1}))
+    edge = re.compile(r'  q\d+ -> q\d+ \[label="((?:[^"\\]|\\.)*)"\];')
+    labels = [edge.fullmatch(line).group(1) for line in to_dot(a).splitlines() if "->" in line and "__start" not in line]
+    assert [re.sub(r"\\(.)", r"\1", label) for label in labels] == ['a\\"b', "\\", '"']
 
 
 def test_nfa_validation():
@@ -658,7 +671,7 @@ def _kernel_outputs(rng: random.Random) -> tuple[dict[str, list[Nfa]], int, int]
         outside = [w for w in words_upto(g.terminals[:2], 2) if not in_language(g, w)]
         for w in outside[:2]:
             put("PrestarSession.automaton", eps_generalize(w, g))
-            session = PrestarSession(g, w)
+            session = PrestarSession(g, word_automaton(w))
             for batch in _eps_candidates(w)[::2]:
                 session.try_add(batch)
             put("PrestarSession.automaton", session.automaton())

@@ -123,19 +123,19 @@ def test_saturation_step_ceiling():
 
 
 def test_session_rejects_fig4_backward_edge():
-    session = PrestarSession(AIBI1, ("a", "a", "b"))
+    session = PrestarSession(AIBI1, word_automaton(("a", "a", "b")))
     for edge in [(0, None, 1), (2, None, 3), (1, None, 3), (0, None, 3)]:
         assert session.try_add([edge])
     assert not session.try_add([(2, "b", 2)])
 
 
 def test_session_accepts_forward_epsilon():
-    session = PrestarSession(AIBI1, ("a", "a", "b"))
+    session = PrestarSession(AIBI1, word_automaton(("a", "a", "b")))
     assert session.try_add([(0, None, 3)])  # the empty word is not in L
 
 
 def test_session_revert_is_exact():
-    session = PrestarSession(AIBI1, ("a", "a", "b"))
+    session = PrestarSession(AIBI1, word_automaton(("a", "a", "b")))
     assert session.try_add([(0, None, 1)])
     journal_before = list(session._sat.journal)
     views_before = _views(session._sat)
@@ -164,7 +164,7 @@ def test_session_matches_fresh_prestar_after_rejections():
         g = random_cfg(rng)
         if in_language(g, word):
             continue
-        session = PrestarSession(g, word)
+        session = PrestarSession(g, word_automaton(word))
         edges = [(0, None, 1), (1, None, 2), (0, None, 3), (1, "a", 0), (2, "b", 1)]
         for e in edges:
             session.try_add([e])
@@ -207,7 +207,7 @@ ABABAB = grammar('grammar G { start S; S -> "a" "b" "a" "b" "a" "b"; }')
 
 
 def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch):
-    session = PrestarSession(ABABAB, ("a", "b"))
+    session = PrestarSession(ABABAB, word_automaton(("a", "b")))
     for edge in [(0, None, 1), (1, None, 2), (0, "a", 0), (1, "b", 1)]:
         assert session.try_add([edge])
     sat = session._sat
@@ -235,7 +235,7 @@ def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch
 
 
 def test_caught_rejection_touches_nothing(monkeypatch):
-    session = PrestarSession(AIBI1, ("a", "a", "b"))
+    session = PrestarSession(AIBI1, word_automaton(("a", "a", "b")))
     for edge in [(0, None, 1), (2, None, 3), (1, None, 3), (0, None, 3), (0, "a", 0), (1, "a", 1)]:
         assert session.try_add([edge])
     sat = session._sat
@@ -283,9 +283,9 @@ def test_each_grammar_fills_one_rule_index_slot():
     assert intersects(g, word_automaton(("a", "c", "b")))
     assert not in_language(g, ("a", "c"))
     assert _context.cache_info().currsize == 0
-    session = PrestarSession(g, ("c", "b"))
+    session = PrestarSession(g, word_automaton(("c", "b")))
     assert session.try_add([(0, None, 1)]) and not session.try_add([(1, None, 2)])  # "b", then "c"
-    assert PrestarSession(g, ("a",)).try_add([(0, "a", 0)])
+    assert PrestarSession(g, word_automaton(("a",))).try_add([(0, "a", 0)])
     assert _rules.cache_info().currsize == 1
     assert _context.cache_info().currsize == 1
     # ten grammars, as one query may hand in, each classified and then
@@ -296,7 +296,7 @@ def test_each_grammar_fills_one_rule_index_slot():
         misses = _rules.cache_info().misses, _context.cache_info().misses
         for h in grammars:
             assert not in_language(h, ("a",))
-            assert PrestarSession(h, ("a",)).try_add([(0, "a", 0)])
+            assert PrestarSession(h, word_automaton(("a",))).try_add([(0, "a", 0)])
         if round_:
             assert (_rules.cache_info().misses, _context.cache_info().misses) == misses
 
@@ -322,7 +322,7 @@ def test_try_add_agrees_with_a_fresh_intersection(run):
     # whether the lookup or the saturation answers, every answer is the one a
     # fresh emptiness test gives for the committed edges plus the new one
     g, word, steps = run
-    session = PrestarSession(g, word)
+    session = PrestarSession(g, word_automaton(word))
     for edge, undo in steps:
         a = session.automaton()
         token = session.snapshot()
@@ -341,7 +341,7 @@ def test_chain_labels_spelled_like_grammar_names_stay_foreign():
     _, ab = parse_file(NAME_CLASH)
     _, _, hat = _context(ab)
     for label in ("T", hat["T"], hat["a"], hat[None]):
-        session = PrestarSession(ab, ("a", label))
+        session = PrestarSession(ab, word_automaton(("a", label)))
         assert session.try_add([(0, None, 2)])  # ε is not in L(Ab)
         # (0, T^, 1): "a" leads to 1, ε from 0 to the end, and T =>* a T;
         # a lookup keyed by the label would reject the edge
@@ -351,14 +351,12 @@ def test_chain_labels_spelled_like_grammar_names_stay_foreign():
         assert not session.intersects()
 
 
-def test_session_validates_edge_shapes():
-    session = PrestarSession(AIBI1, ("a", "a", "b"))
-    with pytest.raises(GrammarError):
-        session.try_add([(2, None, 1)])  # epsilon must go forward
-    with pytest.raises(GrammarError):
-        session.try_add([(2, "a", 1)])  # wrong label: chain reads b at 2
-    with pytest.raises(GrammarError):
-        session.try_add([(0, "a", 2)])  # labeled edge must go backward
+def test_try_add_rejects_foreign_endpoints_and_labels():
+    session = PrestarSession(AIBI1, word_automaton(("a", "a", "b")))
+    for edge in [(0, None, 4), (4, "a", 0), (-1, None, 2), (0, "z", 1), (2, "S", 1)]:
+        with pytest.raises(GrammarError):
+            session.try_add([edge])
+    assert session.edges == []
 
 
 def test_batches_over_a_base_automaton_are_all_or_nothing():
@@ -375,7 +373,8 @@ def test_batches_over_a_base_automaton_are_all_or_nothing():
     assert 1 in sat.by_start[2][sat.hat[None]]
     assert not session.try_add([(3, "b", 3), (1, None, 2)])
     assert session.edges == [((0, None, 1),)]
-    # the epsilon-generalization shapes bind only a session over a word
+    # a backward epsilon edge is no epsilon-generalization shape; the session
+    # decides it as any other edge
     backward = [(2, None, 1)]
     expected = not intersects(AIBI1, replace(base, transitions=base.transitions | {(0, None, 1), (2, None, 1)}))
     assert session.try_add(backward) == expected
@@ -384,16 +383,17 @@ def test_batches_over_a_base_automaton_are_all_or_nothing():
 
 
 def test_session_automaton_checks_labels_over_a_base_automaton():
-    # over an automaton, try_add checks only the endpoints, so a label
-    # outside the base's alphabet reaches automaton(), which rejects it as
-    # Nfa(...) does; over a word every edge was checked against the chain
-    session = PrestarSession(AIBI1, word_automaton(("a", "b")))
-    assert session.try_add([(0, "z", 1)])
-    with pytest.raises(ValueError, match="label 'z' not in alphabet"):
-        session.automaton()
-    over_word = PrestarSession(AIBI1, ("a", "a", "b"))
-    assert over_word.try_add([(0, None, 1)])
-    a = over_word.automaton()
+    # try_add checks each label against the base's alphabet before it adds
+    # anything, so every committed edge is one that Nfa(...) accepts
+    session = PrestarSession(AIBI1, word_automaton(("a", "a", "b")))
+    sat = session._sat
+    before = (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end))
+    with pytest.raises(GrammarError, match="'z'"):
+        session.try_add([(0, None, 1), (0, "z", 1)])
+    assert (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end)) == before
+    assert session.edges == []
+    assert session.try_add([(0, None, 1)]) and session.try_add([(0, "a", 0)])
+    a = session.automaton()
     assert a == Nfa(a.num_states, a.alphabet, a.transitions, a.initial, a.accepting)
 
 

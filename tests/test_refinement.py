@@ -195,6 +195,18 @@ def test_star_candidate_order():
     ]
 
 
+def test_eps_candidates_have_the_two_edge_shapes():
+    # forward epsilon edges (i, ε, j), then backward edges (j-1, w[j-1], i)
+    # that replay the chain's label, each for every i < j in the star order
+    for n in range(6):
+        spans = refinement._star_candidates(n)
+        assert sorted(spans) == [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+        for word in itertools.product("ab", repeat=n):
+            forward = [((i, None, j),) for i, j in spans]
+            backward = [((j - 1, word[j - 1], i),) for i, j in spans]
+            assert refinement._eps_candidates(word) == forward + backward
+
+
 def test_star_generalize_accepts_and_rejects_in_trace_order(monkeypatch):
     # each candidate range is one batch on the star session
     outcomes = []
@@ -258,27 +270,35 @@ def star_session_runs(draw):
 @given(star_session_runs())
 @settings(max_examples=150, deadline=None)
 def test_star_session_agrees_with_a_fresh_intersection(run):
-    # every answer of the incremental session is the one a fresh emptiness
-    # test gives for the starred language, across rollbacks
+    # every answer of a session over the position automaton, fed the batches
+    # of _star_batches, is the one a fresh emptiness test gives for the
+    # starred language, across rollbacks
     g, word, steps = run
-    if in_language(g, word):
-        with pytest.raises(GrammarError):
-            refinement._StarSession(g, word)
+    base = refinement._position_automaton(word, ())
+    session = PrestarSession(g, base)
+    assert session.intersects() == in_language(g, word)
+    if session.intersects():
         return
-    session = refinement._StarSession(g, word)
+    batch = refinement._star_batches(word, base)
+    chosen: list[tuple[int, int]] = []
     for r, undo in steps:
-        if r in session.edges or any(_crosses(r, a) for a in session.edges):
+        if r in chosen:
             continue  # the walk never tries these
-        accepted = list(session.edges)
+        edges = batch(chosen, r)
+        assert (edges is None) == any(_crosses(r, a) for a in chosen)
+        if edges is None:
+            continue
         token = session.snapshot()
-        expected = not intersects(g, gen_language(StarGeneralization(word, frozenset(accepted) | {r})))
-        assert session.try_add(r) == expected
-        held = gen_language(StarGeneralization(word, frozenset(session.edges)))
-        assert session.session.automaton() == held
+        expected = not intersects(g, gen_language(StarGeneralization(word, frozenset(chosen) | {r})))
+        assert session.try_add(edges) == expected
+        if expected:
+            chosen.append(r)
+        assert session.automaton() == gen_language(StarGeneralization(word, frozenset(chosen)))
         if undo:  # as the maximal walks do between siblings
             session.rollback(token)
-            assert session.edges == accepted
-            assert session.session.automaton() == gen_language(StarGeneralization(word, frozenset(accepted)))
+            if expected:
+                chosen.pop()
+            assert session.automaton() == gen_language(StarGeneralization(word, frozenset(chosen)))
 
 
 # --- eps_generalize -----------------------------------------------------------
