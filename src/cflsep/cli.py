@@ -97,7 +97,9 @@ def _validate_verdict(
                 return f"witness not in language of grammar #{i + 1}"
         return None
     if isinstance(verdict, Separable):
-        # exact and independent of the engine's own product walk
+        # exact, but not independent of the engine: intersect runs the product
+        # walk that the engine's difference runs; emptiness is decided by a
+        # reach, not by the engine's witness search
         approxs = verdict.approximations
         if not is_empty(functools.reduce(intersect, approxs)):
             return "approximations claimed separating but still intersect"

@@ -1,20 +1,27 @@
-"""Nondeterministic finite automata with epsilon transitions.
+"""Finite automata with epsilon transitions, walked as deterministic rows.
 
 States are dense integers local to each automaton, and values are immutable,
 so automata can be shared freely. An operation whose result would equal its
 argument returns the argument itself: ``trim`` of a trim automaton,
-``eliminate_epsilon`` of an epsilon-free one. A value records two facts about
-itself in its ``__dict__``: that it is trim, and whether it has epsilon
-edges. This is not a caching layer: both are booleans about an
-immutable value, they take no part in ``==`` and ``hash``, and no index is
-kept. Every walk builds its own successor table with ``_table``: per state,
-one tuple of target states per alphabet column, sorted where a column has
-several, so no result follows the hash-seeded iteration order of the
-transitions. Reachability (``trim``, ``is_empty``) runs over list adjacency.
+``eliminate_epsilon`` of an epsilon-free one. A value records facts about
+itself in its ``__dict__``: that it is trim, whether it has epsilon edges,
+and, for a DFA that a kernel built row by row, its successor rows. This is
+not a caching layer: the facts take no part in ``==`` and ``hash``, and the
+rows are recorded only by the kernel that builds the value (``_minimal``,
+``complement``, ``determinize`` and the product walk), never attached later.
 Labels are terminal names (arbitrary strings) or ``None`` for epsilon.
-Determinization only happens inside complement/difference, which returns the
-trimmed minimal DFA of a deterministic product; everything else stays
-nondeterministic.
+
+Every walk reads deterministic rows: ``rows[q][c]`` is the target of ``q``
+on the symbol ``alphabet[c]``, -1 for none. ``_dfa`` hands a walk the rows
+recorded on a value, or builds them from the transitions of an epsilon-free
+DFA; any other operand of ``intersect``, ``difference``, ``minimize`` or
+``shortest_common_word`` is first determinized by the subset construction
+(Rabin & Scott 1959), which keeps its language. That construction is the
+one behind ``complement`` too; it and ``eliminate_epsilon`` are the only
+readers of ``_table``'s tuples of targets, which are sorted, so no result
+follows the hash-seeded iteration order of the transitions. ``difference``
+and ``minimize`` return the trimmed minimal DFA, numbered canonically.
+Reachability (``trim``, ``is_empty``) runs over list adjacency.
 
 Validation happens at the public boundary, where values come in from
 outside: ``Nfa(...)`` and ``dataclasses.replace`` check that alphabet symbols
@@ -27,9 +34,9 @@ records the marks the kernel knows.
 
 from __future__ import annotations
 
-from collections import deque
+import re
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import contains
 from typing import Iterable, Sequence
 
@@ -76,8 +83,8 @@ def _nfa(
     **marks: bool,
 ) -> Nfa:
     """An ``Nfa`` set up without the checks of ``__post_init__``, for kernels
-    whose output is valid by construction; ``marks`` are the ``_trimmed`` and
-    ``_has_epsilon`` facts the kernel knows about it."""
+    whose output is valid by construction; ``marks`` are the ``_trimmed``,
+    ``_has_epsilon`` and ``_rows`` facts the kernel knows about it."""
     a = object.__new__(Nfa)
     a.__dict__.update(
         num_states=num_states,
@@ -102,10 +109,11 @@ def _merge_alphabets(*alphabets: Sequence[str]) -> tuple[str, ...]:
 
 
 def _table(a: Nfa, columns: Sequence[str]) -> list[list[tuple[int, ...]]]:
-    """Successor table: ``table[q][c]`` holds the targets of ``q``'s edges on
-    the symbol ``columns[c]``, sorted when there are several. Epsilon edges
-    and labels outside ``columns`` are left out; a repeated symbol fills only
-    its first column."""
+    """Successor table of an NFA, for ``eliminate_epsilon`` and the subset
+    construction: ``table[q][c]`` holds the targets of ``q``'s edges on the
+    symbol ``columns[c]``, sorted when there are several. Epsilon edges and
+    labels outside ``columns`` are left out; a repeated symbol fills only its
+    first column."""
     index: dict[str, int] = {}
     for c, x in enumerate(columns):
         index.setdefault(x, c)
@@ -215,16 +223,102 @@ def trim(a: Nfa) -> Nfa:
     return a
 
 
+def _from_rows(
+    alphabet: tuple[str, ...], rows: list[list[int]], accepting: frozenset[int], **marks: bool
+) -> Nfa:
+    """The epsilon-free DFA with initial state 0 and the edge
+    ``q -alphabet[c]-> rows[q][c]`` for each ``rows[q][c] >= 0``, its rows
+    recorded."""
+    transitions = frozenset(
+        (q, x, r) for q, row in enumerate(rows) for x, r in zip(alphabet, row) if r >= 0
+    )
+    return _nfa(
+        len(rows), alphabet, transitions, 0, accepting, _has_epsilon=False, _rows=rows, **marks
+    )
+
+
+def _subsets(
+    a: Nfa, alpha: tuple[str, ...], numbering: dict[frozenset[int], int]
+) -> tuple[list[list[int]], list[frozenset[int]]]:
+    """The subset construction of the epsilon-free ``a`` over ``alpha``
+    (Rabin & Scott 1959): the subsets reached from ``{a.initial}``, numbered
+    breadth-first, symbols in alphabet order, and one row per subset.
+    ``numbering`` starts empty, so that the empty subset is a sink state, or
+    maps it to -1, so that it is no state."""
+    table = _table(a, alpha)
+    subsets = [frozenset({a.initial})]
+    numbering[subsets[0]] = 0
+    rows: list[list[int]] = []
+    for subset in subsets:  # subsets grows breadth-first as it is read
+        if len(subset) == 1:
+            targets = table[next(iter(subset))]
+        else:  # per column, the union over the subset; the sink has none
+            rows_in = map(table.__getitem__, subset)
+            targets = map(chain.from_iterable, zip(repeat((), len(alpha)), *rows_in))
+        row = []
+        for nxt in map(frozenset, targets):
+            dst = numbering.setdefault(nxt, len(subsets))
+            if dst == len(subsets):
+                subsets.append(nxt)
+            row.append(dst)
+        rows.append(row)
+    return rows, subsets
+
+
+def determinize(a: Nfa) -> Nfa:
+    """The subset construction of ``trim(eliminate_epsilon(a))``: a trimmed
+    DFA of ``L(a)`` over ``a``'s alphabet, without the empty subset."""
+    a = trim(eliminate_epsilon(a))
+    rows, subsets = _subsets(a, a.alphabet, {frozenset(): -1})
+    accepting = frozenset(i for i, s in enumerate(subsets) if not a.accepting.isdisjoint(s))
+    return _from_rows(a.alphabet, rows, accepting, _trimmed=True)
+
+
+def _dfa(a: Nfa) -> tuple[Nfa, list[list[int]]]:
+    """An epsilon-free DFA of ``L(a)`` and its rows over its alphabet: the
+    rows recorded on ``a``, or else those of ``eliminate_epsilon(a)`` built
+    from its transitions; a second target on one symbol makes it
+    ``determinize(a)`` instead. Rows built here are not recorded."""
+    a = eliminate_epsilon(a)
+    rows = a.__dict__.get("_rows")
+    if rows is None:
+        index = {x: c for c, x in enumerate(a.alphabet)}
+        rows = [[-1] * len(index) for _ in a.states]
+        for q, x, r in a.transitions:
+            row, c = rows[q], index[x]
+            if row[c] >= 0:
+                a = determinize(a)
+                return a, a.__dict__["_rows"]
+            row[c] = r
+    return a, rows
+
+
+def _columns(
+    rows: list[list[int]], alphabet: tuple[str, ...], columns: tuple[str, ...]
+) -> list[list[int]]:
+    """``rows`` over ``alphabet`` moved to ``columns``, where a symbol fills
+    its first column and a symbol not there is dropped. Rows over a prefix of
+    ``columns`` are returned as they are: the walks zip rows, so a short row
+    just ends early."""
+    if columns[: len(alphabet)] == alphabet:
+        return rows
+    index: dict[str, int] = {}
+    for c, x in enumerate(columns):
+        index.setdefault(x, c)
+    moves = [(index[x], i) for i, x in enumerate(alphabet) if x in index]
+    out = []
+    for row in rows:
+        moved = [-1] * len(columns)
+        for c, i in moves:
+            moved[c] = row[i]
+        out.append(moved)
+    return out
+
+
 def minimize(a: Nfa) -> Nfa:
-    """The trimmed minimal DFA of ``L(a)`` if ``a`` is an epsilon-free DFA,
-    else ``trim(a)``. The front end of ``_minimal``: it builds the rows of
-    the DFA from its successor table."""
-    if a.has_epsilon():
-        return trim(a)
-    table = _table(a, a.alphabet)
-    if any(len(targets) > 1 for row in table for targets in row):
-        return trim(a)
-    rows = [[targets[0] if targets else -1 for targets in row] for row in table]
+    """The trimmed minimal DFA of ``L(a)``: the front end of ``_minimal``, over
+    the rows of ``_dfa(a)``."""
+    a, rows = _dfa(a)
     return _minimal(a.alphabet, rows, a.initial, a.accepting)
 
 
@@ -270,19 +364,21 @@ def _minimal(
         count = len(keys)
     order = [initial] if cls[initial] >= 0 else []  # one state per class
     number = {cls[q]: 0 for q in order}
-    transitions = []
-    for src, q in enumerate(order):  # order grows breadth-first as it is read
-        for x, r in zip(alphabet, rows[q]):
-            if cls[r] >= 0:
-                dst = number.setdefault(cls[r], len(order))
-                if dst == len(order):
-                    order.append(r)
-                transitions.append((src, x, dst))
+    out: list[list[int]] = []
+    for q in order:  # order grows breadth-first as it is read
+        row = []
+        for r in rows[q]:
+            if cls[r] < 0:
+                row.append(-1)
+                continue
+            dst = number.setdefault(cls[r], len(order))
+            if dst == len(order):
+                order.append(r)
+            row.append(dst)
+        out.append(row)
     final = frozenset(i for i, q in enumerate(order) if q in accepting)
-    return _nfa(
-        max(len(order), 1), alphabet, frozenset(transitions), 0, final,
-        _trimmed=True, _has_epsilon=False,
-    )
+    # the empty language is one edgeless state
+    return _from_rows(alphabet, out or [[-1] * len(alphabet)], final, _trimmed=True)
 
 
 def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
@@ -296,90 +392,51 @@ def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
     """
     alpha = a.alphabet if alphabet is None else _merge_alphabets(alphabet, a.alphabet)
     a = eliminate_epsilon(a)
-    table = _table(a, alpha)
-
-    subsets = [frozenset({a.initial})]
-    numbering: dict[frozenset[int], int] = {subsets[0]: 0}
-    transitions: list[tuple[int, str | None, int]] = []
-    for src, subset in enumerate(subsets):  # subsets grows breadth-first as it is read
-        if len(subset) == 1:
-            targets = table[next(iter(subset))]
-        else:  # per column, the union over the subset; the sink has none
-            rows = map(table.__getitem__, subset)
-            targets = map(chain.from_iterable, zip(repeat((), len(alpha)), *rows))
-        for sym, nxt in zip(alpha, map(frozenset, targets)):
-            if nxt not in numbering:
-                numbering[nxt] = len(subsets)
-                subsets.append(nxt)
-            transitions.append((src, sym, numbering[nxt]))
-    accepting = frozenset(
-        idx for idx, subset in enumerate(subsets) if a.accepting.isdisjoint(subset)
-    )
-    return _nfa(len(subsets), alpha, frozenset(transitions), 0, accepting, _has_epsilon=False)
+    rows, subsets = _subsets(a, alpha, {})
+    accepting = frozenset(i for i, s in enumerate(subsets) if a.accepting.isdisjoint(s))
+    return _from_rows(alpha, rows, accepting)
 
 
-def _product_rows(
-    a: Nfa, b: Nfa
-) -> tuple[tuple[str, ...], list[list[int]], list[tuple[int, int, int]], frozenset[int]]:
-    """The product walk of ``L(a) ∩ L(b)`` over the joint alphabet.
+def _product_rows(a: Nfa, b: Nfa) -> tuple[tuple[str, ...], list[list[int]], frozenset[int]]:
+    """The product walk of ``L(a) ∩ L(b)`` over the joint alphabet, on the
+    rows of ``_dfa(a)`` and ``_dfa(b)``.
 
     States are the pairs reached, keyed ``qa * nb + qb`` and numbered in
-    discovery order: breadth-first, symbols in alphabet order, targets in
-    increasing order. Returns the alphabet; one row per state with its first
-    target per column, -1 for none; the further targets as (state, column,
-    target), empty iff the product is deterministic; and the accepting
-    states.
+    discovery order: breadth-first, symbols in alphabet order. Returns the
+    alphabet, one row per state, and the accepting states.
     """
-    a = eliminate_epsilon(a)
-    b = eliminate_epsilon(b)
+    a, rows_a = _dfa(a)
+    b, rows_b = _dfa(b)
     alpha = _merge_alphabets(a.alphabet, b.alphabet)
-    table_a, table_b = _table(a, alpha), _table(b, alpha)
+    rows_b = _columns(rows_b, b.alphabet, alpha)  # a's alphabet starts alpha
     nb = b.num_states
     keys = [a.initial * nb + b.initial]
     index = {keys[0]: 0}
     rows: list[list[int]] = []
-    more: list[tuple[int, int, int]] = []
-    for src, key in enumerate(keys):  # keys grows breadth-first as it is read
+    for key in keys:  # keys grows breadth-first as it is read
         qa, qb = divmod(key, nb)
         row = [-1] * len(alpha)
-        for c, (targets_a, targets_b) in enumerate(zip(table_a[qa], table_b[qb])):
-            if targets_a and targets_b:
-                for ra in targets_a:
-                    for rb in targets_b:
-                        pair = ra * nb + rb
-                        dst = index.setdefault(pair, len(keys))
-                        if dst == len(keys):
-                            keys.append(pair)
-                        if row[c] < 0:
-                            row[c] = dst
-                        else:
-                            more.append((src, c, dst))
+        for c, (ra, rb) in enumerate(zip(rows_a[qa], rows_b[qb])):
+            if ra >= 0 and rb >= 0:
+                pair = ra * nb + rb
+                dst = row[c] = index.setdefault(pair, len(keys))
+                if dst == len(keys):
+                    keys.append(pair)
         rows.append(row)
     accepting = frozenset(
         i for i, key in enumerate(keys) if key // nb in a.accepting and key % nb in b.accepting
     )
-    return alpha, rows, more, accepting
-
-
-def _as_nfa(
-    alpha: tuple[str, ...],
-    rows: list[list[int]],
-    more: list[tuple[int, int, int]],
-    accepting: frozenset[int],
-) -> Nfa:
-    """The automaton of a product walk, marked epsilon-free."""
-    transitions = {(q, x, r) for q, row in enumerate(rows) for x, r in zip(alpha, row) if r >= 0}
-    transitions.update((q, alpha[c], r) for q, c, r in more)
-    return _nfa(len(rows), alpha, frozenset(transitions), 0, accepting, _has_epsilon=False)
+    return alpha, rows, accepting
 
 
 def _product(a: Nfa, b: Nfa) -> Nfa:
     """Untrimmed ``L(a) ∩ L(b)``: the pairs reached, in discovery order."""
-    return _as_nfa(*_product_rows(a, b))
+    return _from_rows(*_product_rows(a, b))
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
-    """Product construction; recognizes ``L(a) ∩ L(b)``, trimmed."""
+    """Product construction; recognizes ``L(a) ∩ L(b)``, trimmed. It walks
+    the DFAs of ``_dfa``, so an NFA operand is determinized first."""
     return trim(_product(a, b))
 
 
@@ -402,13 +459,10 @@ def union(*parts: Nfa) -> Nfa:
 
 def difference(a: Nfa, b: Nfa) -> Nfa:
     """Recognizes ``L(a) \\ L(b)``; ``b`` is complemented over the joint
-    alphabet. A deterministic product gives its trimmed minimal DFA, whose
-    rows go from the product walk straight to ``_minimal``; a
-    nondeterministic one is only trimmed."""
+    alphabet. Returns the trimmed minimal DFA of the product, whose rows go
+    from the product walk straight to ``_minimal``."""
     alpha = _merge_alphabets(a.alphabet, b.alphabet)
-    alpha, rows, more, accepting = _product_rows(a, complement(b, alpha))
-    if more:
-        return trim(_as_nfa(alpha, rows, more, accepting))
+    alpha, rows, accepting = _product_rows(a, complement(b, alpha))
     return _minimal(alpha, rows, 0, accepting)
 
 
@@ -426,20 +480,18 @@ def shortest_common_word(
     """Shortest word accepted by every automaton, lexicographically least in
     ``alphabet`` order; ``None`` iff the intersection is empty.
 
-    One breadth-first walk over state tuples of the trimmed, epsilon-free
-    automata, with a parent pointer per tuple. Tuples are visited once, in
-    groups: the group of word ``w`` holds the tuples whose (length,
-    lex)-least word is ``w``, and groups are expanded in that word order,
-    symbols in alphabet order. So the first accepting tuple discovered ends
-    the least common word. Grouping matters: a word reaches several tuples
-    at once, and expanding them one by one would put ``w b`` ahead of
-    ``w a``. The product is never materialized. Labels outside ``alphabet``
-    are never walked.
+    One breadth-first walk, symbols in alphabet order, over state tuples of
+    the trimmed DFAs that ``_dfa`` gives (an NFA is determinized, which keeps
+    its language), with a parent pointer per tuple. A word reaches one tuple,
+    so a tuple is first reached by its (length, lex)-least word, and the first
+    accepting tuple discovered ends the least common word. The product is
+    never materialized. Labels outside ``alphabet`` are never walked.
     """
-    comps = [trim(eliminate_epsilon(a)) for a in automata]
-    tables = [_table(c, alphabet) for c in comps]
-    finals = [c.accepting for c in comps]
-    start = tuple(c.initial for c in comps)
+    columns = tuple(alphabet)
+    comps = [_dfa(trim(eliminate_epsilon(a))) for a in automata]
+    tables = [_columns(rows, c.alphabet, columns) for c, rows in comps]
+    finals = [c.accepting for c, _ in comps]
+    start = tuple(c.initial for c, _ in comps)
     # the tuple it was reached from, and the column of the symbol read
     parent: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {start: None}
 
@@ -447,39 +499,45 @@ def shortest_common_word(
         word: list[str] = []
         while (link := parent[state]) is not None:
             state, c = link
-            word.append(alphabet[c])
+            word.append(columns[c])
         return tuple(reversed(word))
 
     if all(map(contains, finals, start)):
         return ()
-    queue = deque([[start]])
-    while queue:
-        group = queue.popleft()
-        # each tuple's rows side by side: per column, the targets of every component
-        columns = [list(zip(*map(list.__getitem__, tables, state))) for state in group]
-        for c in range(len(alphabet)):
-            reached: list[tuple[int, ...]] = []
-            for state, targets in zip(group, columns):
-                for combo in product(*targets[c]):
-                    if combo not in parent:
-                        parent[combo] = (state, c)
-                        if all(map(contains, finals, combo)):
-                            return word_to(combo)
-                        reached.append(combo)
-            if reached:
-                queue.append(reached)
+    queue = [start]
+    for state in queue:  # queue grows breadth-first as it is read
+        # the tuple's rows side by side: per column, the target of every component
+        for c, combo in enumerate(zip(*map(list.__getitem__, tables, state))):
+            if -1 not in combo and combo not in parent:
+                parent[combo] = (state, c)
+                if all(map(contains, finals, combo)):
+                    return word_to(combo)
+                queue.append(combo)
     return None
 
 
+# a DOT ID that needs no quotes: a name (any non-ASCII character counts as a
+# letter) or a numeral, but not a keyword; compiled on first use, not at import
+_PLAIN_ID = r"(?:[A-Za-z_]|[^\x00-\x7f])(?:[A-Za-z_0-9]|[^\x00-\x7f])*|-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)"
+_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(a: Nfa, name: str = "nfa") -> str:
-    """GraphViz rendering: one node per state, doubled circle for accepting."""
+    """GraphViz rendering: one node per state, doubled circle for accepting.
+    ``name`` is quoted unless it is a plain DOT ID."""
+    if not re.fullmatch(_PLAIN_ID, name) or name.lower() in _KEYWORDS:
+        name = _quoted(name)
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for q in a.states:
         shape = "doublecircle" if q in a.accepting else "circle"
         lines.append(f'  q{q} [shape={shape}, label="{q}"];')
     lines.append(f"  __start -> q{a.initial};")
     for q, x, r in sorted(a.transitions, key=lambda t: (t[0], t[2], t[1] or "")):
-        label = "ε" if x is None else x.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  q{q} -> q{r} [label="{label}"];')
+        label = '"ε"' if x is None else _quoted(x)
+        lines.append(f"  q{q} -> q{r} [label={label}];")
     lines.append("}")
     return "\n".join(lines)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -244,6 +245,24 @@ def test_main_dump_approx(tmp_path, capsys):
     assert "C4-iter0.dot" in dots
     body = (tmp_path / dots[0]).read_text()
     assert body.startswith("digraph")
+
+
+def test_main_dump_approx_quotes_a_graph_name_that_is_no_dot_id(tmp_path, capsys):
+    # identifiers may contain "'", which an unquoted DOT ID may not
+    path = tmp_path / "primes.cfg"
+    path.write_text(
+        "grammar A' { start S; S -> \"a\" S \"a\" | \"c\"; }\n"
+        "grammar B { start S; S -> \"a\" S \"b\" | \"c\" \"b\"; }\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "dots"
+    assert main([str(path), "--dump-approx", str(out)]) == EXIT_SEPARABLE
+    capsys.readouterr()
+    header = re.compile(r'digraph ("(?:[^"\\]|\\.)*"|[A-Za-z_][A-Za-z_0-9]*) \{')
+    first_lines = {p.name: p.read_text(encoding="utf-8").splitlines()[0] for p in out.glob("*.dot")}
+    assert first_lines["A'-iter0.dot"] == 'digraph "A\'_iter0" {'
+    assert first_lines["B-iter0.dot"] == "digraph B_iter0 {"
+    assert all(header.fullmatch(line) for line in first_lines.values())
 
 
 def test_main_dump_approx_unwritable_is_usage_error(tmp_path, capsys):

@@ -16,9 +16,11 @@ from cflsep.approximation import nederhof, sigma_star
 from cflsep.grammar_io import parse_file
 from cflsep.nfa import (
     Nfa,
+    _dfa,
     _merge_alphabets,
     _product,
     complement,
+    determinize,
     difference,
     eliminate_epsilon,
     intersect,
@@ -286,6 +288,16 @@ def test_to_dot_escapes_labels():
     assert [re.sub(r"\\(.)", r"\1", label) for label in labels] == ['a\\"b', "\\", '"']
 
 
+def test_to_dot_quotes_a_name_only_when_it_is_no_dot_id():
+    a = word_automaton(("a",))
+    for plain in ("nfa", "C2_iter0", "_x9", "é_iter1", "12", "-3.5"):
+        assert to_dot(a, plain).startswith(f"digraph {plain} {{\n")
+    quoted = {"A'_iter0": '"A\'_iter0"', "node": '"node"', "Graph": '"Graph"',
+              "1_iter0": '"1_iter0"', 'say "hi"\\': '"say \\"hi\\"\\\\"', "": '""'}
+    for name, header in quoted.items():
+        assert to_dot(a, name).startswith(f"digraph {header} {{\n")
+
+
 def test_nfa_validation():
     # every check of Nfa(...), each also through dataclasses.replace: values
     # from outside come in there, and kernels build theirs without checks
@@ -329,7 +341,7 @@ def test_boolean_structure(pair):
 
 # --- values that record facts about themselves --------------------------------
 
-MARKS = ("_trimmed", "_has_epsilon")
+MARKS = ("_trimmed", "_has_epsilon", "_rows")
 
 
 def _marks(a: Nfa) -> dict:
@@ -339,6 +351,16 @@ def _marks(a: Nfa) -> dict:
 def _fresh(a: Nfa) -> Nfa:
     """An equal value built anew, so it carries no marks."""
     return Nfa(a.num_states, a.alphabet, a.transitions, a.initial, a.accepting)
+
+
+def _rows_of(a: Nfa) -> list[list[int]]:
+    """The rows of an epsilon-free DFA, rebuilt from its transitions."""
+    rows = [[-1] * len(a.alphabet) for _ in a.states]
+    for q, x, r in a.transitions:
+        c = a.alphabet.index(x)
+        assert rows[q][c] == -1, "not a DFA"
+        rows[q][c] = r
+    return rows
 
 
 def _sample_automata() -> list[Nfa]:
@@ -426,6 +448,47 @@ def test_replace_yields_an_unmarked_value():
         emptied = dataclasses.replace(t, accepting=frozenset())
         assert _marks(emptied) == {}
         assert trim(emptied).num_states == 1
+
+
+def _row_values() -> dict[str, list[Nfa]]:
+    """Values of the kernels that record rows, by kernel name."""
+    rng = random.Random(37)
+    samples = _sample_automata()
+    out: dict[str, list[Nfa]] = {}
+    for a in samples:
+        out.setdefault("complement", []).extend([complement(a), complement(a, ("c", "a"))])
+        out.setdefault("determinize", []).append(determinize(a))
+        out.setdefault("minimize", []).append(minimize(a))
+    for a, b in [(rng.choice(samples), rng.choice(samples)) for _ in range(100)] + _nfa_pairs(rng, 100):
+        out.setdefault("product", []).append(_product(a, b))
+        out.setdefault("difference", []).extend([difference(a, b), difference(b, a)])
+    return out
+
+
+def test_recorded_rows_are_the_rows_of_the_transitions():
+    for name, values in _row_values().items():
+        for v in values:
+            rows = vars(v)["_rows"]
+            assert rows == _rows_of(v), name
+            assert _dfa(v) == (v, rows) and _dfa(v)[1] is rows
+    # rows built for a DFA that has none are handed out, not recorded
+    for a in _dfas_and_products():
+        plain = _fresh(a)
+        assert _dfa(plain) == (plain, _rows_of(plain))
+        assert "_rows" not in vars(plain)
+
+
+def test_replace_drops_rows_while_pickle_and_copy_keep_them():
+    for name, values in _row_values().items():
+        for v in values:
+            for clone in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+                assert clone == v and hash(clone) == hash(v)
+                assert _marks(clone) == _marks(v) and "_rows" in _marks(clone), name
+            assert _marks(dataclasses.replace(v)) == {}
+            # stale rows would still walk the edges that were taken away
+            emptied = dataclasses.replace(v, transitions=frozenset())
+            assert _dfa(emptied)[1] == [[-1] * len(v.alphabet)] * v.num_states
+            assert shortest_common_word([emptied], v.alphabet) in (None, ())
 
 
 def test_has_epsilon_is_recorded_once():
@@ -551,15 +614,23 @@ def test_minimize_is_canonical():
 def test_minimize_marks_its_value_trimmed_and_epsilon_free():
     for a in _dfas_and_products():
         m = minimize(a)
-        assert _marks(m) == {"_trimmed": True, "_has_epsilon": False}
+        assert _marks(m) == {"_trimmed": True, "_has_epsilon": False, "_rows": _rows_of(m)}
         assert trim(m) is m and trim(_fresh(m)) == m
 
 
-def test_minimize_only_trims_a_nondeterministic_value():
-    nfas = [a for a in _sample_automata() if not _is_dfa(a)]
+def test_minimize_determinizes_a_nondeterministic_value():
+    # an NFA goes through the subset construction first, so it gets the same
+    # minimal DFA as any other automaton of its language
+    nfas = [a for a in _sample_automata() if not _is_dfa(eliminate_epsilon(a))]
     assert len(nfas) > 20
     for a in nfas:
-        assert minimize(a) == trim(a)
+        d = determinize(a)  # trimmed: the empty subset is no state
+        assert _is_dfa(d) and equivalent(d, a) and trim(_fresh(d)) == d
+        m = minimize(a)
+        assert _is_dfa(m) and equivalent(m, a)
+        assert m == minimize(d) == minimize(complement(complement(a)))
+        assert is_empty(m) or equivalent_states(m) == []
+        assert m.num_states <= d.num_states
 
 
 def test_minimize_of_the_empty_language_is_one_state_without_edges():
@@ -585,35 +656,72 @@ def test_difference_returns_the_minimal_dfa():
 # --- the product walk ---------------------------------------------------------
 
 
-def test_product_intersect_and_difference_equal_the_reference_product():
-    # epsilon edges, several targets per column, and alphabets that share only
-    # some symbols, so each operand has labels foreign to the other
-    rng = random.Random(38)
+def _nfa_pairs(rng: random.Random, count: int) -> list[tuple[Nfa, Nfa]]:
+    """Pairs with epsilon edges, several targets per column, and alphabets
+    that share only some symbols, so each operand has labels foreign to the
+    other; every third first operand is a DFA."""
     alphabets = (("a", "b"), ("b", "c"), ("c", "a", "b"))
-    deterministic = nondeterministic = 0
-    for i in range(300):
-        a = (
+    return [
+        (
             _random_dfa(rng)
             if i % 3 == 0
-            else random_nfa(rng, rng.choice(alphabets), max_states=5, edges_per_state=3)
+            else random_nfa(rng, rng.choice(alphabets), max_states=5, edges_per_state=3),
+            random_nfa(rng, rng.choice(alphabets), max_states=5, edges_per_state=3),
         )
-        b = random_nfa(rng, rng.choice(alphabets), max_states=5, edges_per_state=3)
-        reference = reference_product(a, b)
+        for i in range(count)
+    ]
+
+
+def test_product_intersect_and_difference_equal_the_reference_product():
+    # the walk reads an epsilon-free DFA as it is and determinizes any other
+    # operand, so its product is the plain product of those DFAs
+    determinized = 0
+    for a, b in _nfa_pairs(random.Random(38), 300):
+        da, db = _dfa(a)[0], _dfa(b)[0]
+        for x, dx in ((a, da), (b, db)):
+            if _is_dfa(eliminate_epsilon(x)):
+                assert dx == eliminate_epsilon(x)
+            else:
+                assert dx == determinize(x)
+                determinized += 1
+        reference = reference_product(da, db)
+        assert _is_dfa(reference)
         assert _product(a, b) == reference
         meet = intersect(a, b)
         assert meet == trim(reference)
-        assert _marks(meet) == {"_trimmed": True, "_has_epsilon": False}
-        complemented = reference_product(a, complement(b, reference.alphabet))
+        # trim keeps the product's rows only when it returns the product itself
+        assert _marks(meet) in (
+            {"_trimmed": True, "_has_epsilon": False},
+            {"_trimmed": True, "_has_epsilon": False, "_rows": _rows_of(meet)},
+        )
         d = difference(a, b)
-        assert d == minimize(complemented)
-        # both branches, the minimal DFA and the trimmed NFA, mark their value
-        assert _marks(d) == {"_trimmed": True, "_has_epsilon": False}
-        if _is_dfa(complemented):
-            deterministic += 1
-        else:
-            nondeterministic += 1
-            assert d == trim(complemented)
-    assert deterministic >= 50 and nondeterministic >= 50
+        assert d == minimize(reference_product(da, complement(b, reference.alphabet)))
+        assert _marks(d) == {"_trimmed": True, "_has_epsilon": False, "_rows": _rows_of(d)}
+    assert determinized >= 100
+
+
+def test_nfa_operands_keep_their_languages():
+    # brute force on words up to length 5: the walks see a determinized NFA,
+    # whose language is the NFA's own
+    rng = random.Random(39)
+    nfa_operands = nonempty = 0
+    for a, b in _nfa_pairs(rng, 200):
+        nfa_operands += not _is_dfa(eliminate_epsilon(a)) or not _is_dfa(eliminate_epsilon(b))
+        joint = _merge_alphabets(a.alphabet, b.alphabet)
+        in_a, in_b = enumerate_accepted(a, 5), enumerate_accepted(b, 5)
+        assert enumerate_accepted(determinize(a), 5) == in_a
+        assert enumerate_accepted(intersect(a, b), 5) == in_a & in_b
+        assert enumerate_accepted(difference(a, b), 5) == in_a - in_b
+        order = joint[::-1]
+        w = shortest_common_word([a, b], order)
+        assert w == shortest_common_word([determinize(a), determinize(b)], order)
+        least = min(in_a & in_b, key=lambda v: (len(v), [order.index(x) for x in v]), default=None)
+        if least is not None:
+            assert w == least
+            nonempty += 1
+        elif w is not None:
+            assert len(w) > 5 and accepts(a, w) and accepts(b, w)
+    assert nfa_operands >= 100 and nonempty >= 30
 
 
 # --- kernel outputs are valid values -----------------------------------------
@@ -621,8 +729,8 @@ def test_product_intersect_and_difference_equal_the_reference_product():
 
 def _kernel_outputs(rng: random.Random) -> tuple[dict[str, list[Nfa]], int, int]:
     """Outputs of every kernel that builds its values without the checks of
-    ``Nfa(...)``, by kernel name, and how many differences took the DFA and
-    the NFA branch."""
+    ``Nfa(...)``, by kernel name, and how many differences read their first
+    operand as it was and how many determinized it."""
     samples = _sample_automata()
     out: dict[str, list[Nfa]] = {}
 
@@ -635,22 +743,16 @@ def _kernel_outputs(rng: random.Random) -> tuple[dict[str, list[Nfa]], int, int]
         put("complement", complement(a, ("c", "a")))
         put("minimize", minimize(complement(a)))
         put("minimize", minimize(a))
+        put("determinize", determinize(a))
     for _ in range(100):
         a, b = rng.choice(samples), rng.choice(samples)
         put("intersect", intersect(a, b))
         put("union", union(a, b, rng.choice(samples)))
     put("union", union())
     deterministic = nondeterministic = 0
-    alphabets = (("a", "b"), ("b", "c"), ("c", "a", "b"))
-    for i in range(300):
-        a = (
-            _random_dfa(rng)
-            if i % 3 == 0
-            else random_nfa(rng, rng.choice(alphabets), max_states=5, edges_per_state=3)
-        )
-        b = random_nfa(rng, rng.choice(alphabets), max_states=5, edges_per_state=3)
+    for a, b in _nfa_pairs(rng, 300):
         put("difference", difference(a, b))
-        if _is_dfa(_product(a, complement(b, _merge_alphabets(a.alphabet, b.alphabet)))):
+        if _is_dfa(eliminate_epsilon(a)):
             deterministic += 1
         else:
             nondeterministic += 1
