@@ -24,7 +24,7 @@ def sigma_star(alphabet: tuple[str, ...] | list[str]) -> Nfa:
     """Single-state automaton accepting every word over ``alphabet``."""
     alpha = tuple(dict.fromkeys(alphabet))
     transitions = frozenset((0, sym, 0) for sym in alpha)
-    return _nfa(1, alpha, transitions, 0, frozenset({0}), _trimmed=True, _has_epsilon=False)
+    return _nfa(1, alpha, transitions, 0, frozenset({0}))
 
 
 def _block_kind(block: tuple[str, ...], prods: Iterable[Production]) -> str | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .grammar import Cfg, GrammarError, Production, nt, t
+from .grammar import Cfg, GrammarError, Production, fresh_name, nt, t
 
 
 class ParseError(ValueError):
@@ -29,14 +29,14 @@ class ParseError(ValueError):
         self.column = column
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
       | (?P<arrow>->)
       | (?P<punct>[{};|])
       | (?P<string>"[^"\n]*")
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    """,
+      | (?P<ident>""" + _IDENT + ")",
     re.VERBOSE,
 )
 
@@ -188,27 +188,41 @@ def _derivable(productions: tuple[Production, ...]) -> tuple[Production, ...]:
         productions = kept
 
 
+def _spellings(g: Cfg) -> dict[str, str]:
+    """Each nonterminal's name in a file: its own if it is an identifier, else
+    a fresh ``N_k`` (``normalize`` names the wrapper of ``"+"`` ``+_1``)."""
+    used = set(g.variables)
+    return {v: v if re.fullmatch(_IDENT, v) else fresh_name("N", used) for v in g.variables}
+
+
+def _quoted(terminal: str) -> str:
+    if not terminal or '"' in terminal or "\n" in terminal:
+        raise ValueError(f"terminal {terminal!r} cannot be written in a grammar file")
+    return f'"{terminal}"'
+
+
 def render(grammars: list[Cfg], names: list[str] | None = None) -> str:
-    """Grammar file text that parses back to language-identical grammars."""
+    """Grammar file text that parses back to language-identical grammars.
+    A nonterminal whose name is no identifier is renamed (``_spellings``);
+    a terminal that is empty or holds ``"`` or a newline raises
+    ``ValueError``."""
     if names is None:
         names = [f"G{i + 1}" for i in range(len(grammars))]
     blocks = []
     for name, g in zip(names, grammars):
-        lines = [f"grammar {name} {{", f"  start {g.start};"]
+        spelled = _spellings(g)
+        lines = [f"grammar {name} {{", f"  start {spelled[g.start]};"]
         by_lhs: dict[str, list[Production]] = {}
         for p in _derivable(g.productions):
             by_lhs.setdefault(p.lhs, []).append(p)
         for lhs in g.variables:
             if lhs not in by_lhs:
                 continue
-            alts = []
-            for p in by_lhs[lhs]:
-                alts.append(
-                    " ".join(
-                        f'"{s.name}"' if s.terminal else s.name for s in p.rhs
-                    )
-                )
-            lines.append(f"  {lhs} -> {' | '.join(alts)};")
+            alts = [
+                " ".join(_quoted(s.name) if s.terminal else spelled[s.name] for s in p.rhs)
+                for p in by_lhs[lhs]
+            ]
+            lines.append(f"  {spelled[lhs]} -> {' | '.join(alts)};")
         lines.append("}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

@@ -3,33 +3,30 @@
 States are dense integers local to each automaton, and values are immutable,
 so automata can be shared freely. An operation whose result would equal its
 argument returns the argument itself: ``trim`` of a trim automaton,
-``eliminate_epsilon`` of an epsilon-free one. A value records facts about
-itself in its ``__dict__``: that it is trim, whether it has epsilon edges,
-and, for a DFA that a kernel built row by row, its successor rows. This is
-not a caching layer: the facts take no part in ``==`` and ``hash``, and the
-rows are recorded only by the kernel that builds the value (``_minimal``,
-``complement``, ``determinize`` and the product walk), never attached later.
-Labels are terminal names (arbitrary strings) or ``None`` for epsilon.
+``eliminate_epsilon`` of an epsilon-free one. A value records one fact in
+its ``__dict__``: the successor rows of a DFA that a kernel built row by row
+(``_minimal``, ``complement``, ``determinize``, the product walk), recorded
+by ``_from_rows`` and never attached later; they take no part in ``==`` and
+``hash``. Labels are terminal names (arbitrary strings) or ``None`` for
+epsilon.
 
 Every walk reads deterministic rows: ``rows[q][c]`` is the target of ``q``
-on the symbol ``alphabet[c]``, -1 for none. ``_dfa`` hands a walk the rows
+on the symbol ``columns[c]``, -1 for none. ``_dfa`` hands a walk the rows
 recorded on a value, or builds them from the transitions of an epsilon-free
 DFA; any other operand of ``intersect``, ``difference``, ``minimize`` or
 ``shortest_common_word`` is first determinized by the subset construction
 (Rabin & Scott 1959), which keeps its language. That construction is the
-one behind ``complement`` too; it and ``eliminate_epsilon`` are the only
-readers of ``_table``'s tuples of targets, which are sorted, so no result
-follows the hash-seeded iteration order of the transitions. ``difference``
-and ``minimize`` return the trimmed minimal DFA, numbered canonically.
-Reachability (``trim``, ``is_empty``) runs over list adjacency.
+one behind ``complement`` too; it unions a subset's targets per column into
+a set, so no result follows the hash-seeded order of the transitions.
+``difference`` and ``minimize`` return the trimmed minimal DFA, numbered
+canonically. Reachability (``trim``, ``is_empty``) runs over list adjacency.
 
 Validation happens at the public boundary, where values come in from
 outside: ``Nfa(...)`` and ``dataclasses.replace`` check that alphabet symbols
 are unique, that the initial state, the accepting states and every
 transition endpoint are in range, and that every label is epsilon or in the
 alphabet. A value whose states a kernel numbered itself is valid by
-construction and is built directly by ``_nfa``, which checks nothing and
-records the marks the kernel knows.
+construction and is built directly by ``_nfa``, which checks nothing.
 """
 
 from __future__ import annotations
@@ -68,10 +65,8 @@ class Nfa:
     def states(self) -> range:
         return range(self.num_states)
 
-    def has_epsilon(self) -> bool:  # scanned once per value
-        if "_has_epsilon" not in self.__dict__:
-            self.__dict__["_has_epsilon"] = any(x is None for _, x, _ in self.transitions)
-        return self.__dict__["_has_epsilon"]
+    def has_epsilon(self) -> bool:  # a value with rows is an epsilon-free DFA
+        return "_rows" not in self.__dict__ and any(x is None for _, x, _ in self.transitions)
 
 
 def _nfa(
@@ -80,20 +75,16 @@ def _nfa(
     transitions: frozenset[tuple[int, str | None, int]],
     initial: int,
     accepting: frozenset[int],
-    **marks: bool,
 ) -> Nfa:
     """An ``Nfa`` set up without the checks of ``__post_init__``, for kernels
-    whose output is valid by construction; ``marks`` are the ``_trimmed``,
-    ``_has_epsilon`` and ``_rows`` facts the kernel knows about it."""
+    whose output is valid by construction. It sets the fields the way the
+    frozen dataclass's own ``__init__`` does, and records nothing else."""
     a = object.__new__(Nfa)
-    a.__dict__.update(
-        num_states=num_states,
-        alphabet=alphabet,
-        transitions=transitions,
-        initial=initial,
-        accepting=accepting,
-        **marks,
-    )
+    object.__setattr__(a, "num_states", num_states)
+    object.__setattr__(a, "alphabet", alphabet)
+    object.__setattr__(a, "transitions", transitions)
+    object.__setattr__(a, "initial", initial)
+    object.__setattr__(a, "accepting", accepting)
     return a
 
 
@@ -106,32 +97,6 @@ def _merge_alphabets(*alphabets: Sequence[str]) -> tuple[str, ...]:
                 seen.add(sym)
                 merged.append(sym)
     return tuple(merged)
-
-
-def _table(a: Nfa, columns: Sequence[str]) -> list[list[tuple[int, ...]]]:
-    """Successor table of an NFA, for ``eliminate_epsilon`` and the subset
-    construction: ``table[q][c]`` holds the targets of ``q``'s edges on the
-    symbol ``columns[c]``, sorted when there are several. Epsilon edges and
-    labels outside ``columns`` are left out; a repeated symbol fills only its
-    first column."""
-    index: dict[str, int] = {}
-    for c, x in enumerate(columns):
-        index.setdefault(x, c)
-    table: list[list[tuple[int, ...]]] = [[()] * len(columns) for _ in a.states]
-    several = []
-    for q, x, r in a.transitions:
-        c = index.get(x)
-        if c is not None:
-            row = table[q]
-            if row[c]:
-                several.append((row, c))
-                row[c] += (r,)
-            else:
-                row[c] = (r,)
-    # the transitions iterate in a PYTHONHASHSEED-dependent order
-    for row, c in several:
-        row[c] = tuple(sorted(row[c]))
-    return table
 
 
 def _reach(seeds: Iterable[int], adjacency: list[list[int]]) -> bytearray:
@@ -152,10 +117,7 @@ def word_automaton(word: Sequence[str]) -> Nfa:
     """Chain automaton recognizing exactly ``word``: one transition per symbol."""
     word = tuple(word)
     transitions = frozenset((i, word[i], i + 1) for i in range(len(word)))
-    return _nfa(
-        len(word) + 1, _merge_alphabets(word), transitions, 0, frozenset({len(word)}),
-        _trimmed=True, _has_epsilon=False,
-    )
+    return _nfa(len(word) + 1, _merge_alphabets(word), transitions, 0, frozenset({len(word)}))
 
 
 def eliminate_epsilon(a: Nfa) -> Nfa:
@@ -163,10 +125,12 @@ def eliminate_epsilon(a: Nfa) -> Nfa:
     if not a.has_epsilon():
         return a
     eps: list[list[int]] = [[] for _ in a.states]
+    edges: list[list[tuple[str, int]]] = [[] for _ in a.states]
     for q, x, r in a.transitions:
         if x is None:
             eps[q].append(r)
-    table = _table(a, a.alphabet)
+        else:
+            edges[q].append((x, r))
     transitions: set[tuple[int, str | None, int]] = set()
     accepting: set[int] = set()
     for q in a.states:
@@ -178,26 +142,15 @@ def eliminate_epsilon(a: Nfa) -> Nfa:
                     closure.add(r)
                     stack.append(r)
         for mid in closure:
-            for x, targets in zip(a.alphabet, table[mid]):
-                for r in targets:
-                    transitions.add((q, x, r))
+            transitions.update((q, x, r) for x, r in edges[mid])
         if not closure.isdisjoint(a.accepting):
             accepting.add(q)
-    return _nfa(
-        a.num_states, a.alphabet, frozenset(transitions), a.initial, frozenset(accepting),
-        _has_epsilon=False,
-    )
+    return _nfa(a.num_states, a.alphabet, frozenset(transitions), a.initial, frozenset(accepting))
 
 
 def trim(a: Nfa) -> Nfa:
     """Keep only states on some path initial -> accepting; renumber densely.
-
-    Returns ``a`` itself when every state is useful, and marks what it returns
-    as trimmed, so trimming a trimmed value does no work. A value known to be
-    epsilon-free stays marked so.
-    """
-    if a.__dict__.get("_trimmed"):
-        return a
+    Returns ``a`` itself when every state is useful."""
     forward: list[list[int]] = [[] for _ in a.states]
     backward: list[list[int]] = [[] for _ in a.states]
     for q, _, r in a.transitions:
@@ -215,26 +168,20 @@ def trim(a: Nfa) -> Nfa:
             if renum[q] >= 0 and renum[r] >= 0
         )
         accepting = frozenset(renum[q] for q in a.accepting if renum[q] >= 0)
-        marks = {"_trimmed": True}
-        if a.__dict__.get("_has_epsilon") is False:  # known epsilon-free: stays known
-            marks["_has_epsilon"] = False
-        return _nfa(len(useful), a.alphabet, transitions, renum[a.initial], accepting, **marks)
-    a.__dict__["_trimmed"] = True
+        return _nfa(len(useful), a.alphabet, transitions, renum[a.initial], accepting)
     return a
 
 
-def _from_rows(
-    alphabet: tuple[str, ...], rows: list[list[int]], accepting: frozenset[int], **marks: bool
-) -> Nfa:
+def _from_rows(alphabet: tuple[str, ...], rows: list[list[int]], accepting: frozenset[int]) -> Nfa:
     """The epsilon-free DFA with initial state 0 and the edge
     ``q -alphabet[c]-> rows[q][c]`` for each ``rows[q][c] >= 0``, its rows
-    recorded."""
+    recorded: the one place a value gets a fact beyond its fields."""
     transitions = frozenset(
         (q, x, r) for q, row in enumerate(rows) for x, r in zip(alphabet, row) if r >= 0
     )
-    return _nfa(
-        len(rows), alphabet, transitions, 0, accepting, _has_epsilon=False, _rows=rows, **marks
-    )
+    a = _nfa(len(rows), alphabet, transitions, 0, accepting)
+    a.__dict__["_rows"] = rows
+    return a
 
 
 def _subsets(
@@ -244,8 +191,14 @@ def _subsets(
     (Rabin & Scott 1959): the subsets reached from ``{a.initial}``, numbered
     breadth-first, symbols in alphabet order, and one row per subset.
     ``numbering`` starts empty, so that the empty subset is a sink state, or
-    maps it to -1, so that it is no state."""
-    table = _table(a, alpha)
+    maps it to -1, so that it is no state. ``table[q][c]`` holds the targets
+    of ``q``'s edges on ``alpha[c]``; each column of a row becomes a set."""
+    index = {x: c for c, x in enumerate(alpha)}
+    table: list[list[tuple[int, ...]]] = [[()] * len(alpha) for _ in a.states]
+    for q, x, r in a.transitions:
+        c = index.get(x)
+        if c is not None:
+            table[q][c] += (r,)
     subsets = [frozenset({a.initial})]
     numbering[subsets[0]] = 0
     rows: list[list[int]] = []
@@ -271,54 +224,37 @@ def determinize(a: Nfa) -> Nfa:
     a = trim(eliminate_epsilon(a))
     rows, subsets = _subsets(a, a.alphabet, {frozenset(): -1})
     accepting = frozenset(i for i, s in enumerate(subsets) if not a.accepting.isdisjoint(s))
-    return _from_rows(a.alphabet, rows, accepting, _trimmed=True)
+    return _from_rows(a.alphabet, rows, accepting)
 
 
-def _dfa(a: Nfa) -> tuple[Nfa, list[list[int]]]:
-    """An epsilon-free DFA of ``L(a)`` and its rows over its alphabet: the
-    rows recorded on ``a``, or else those of ``eliminate_epsilon(a)`` built
-    from its transitions; a second target on one symbol makes it
-    ``determinize(a)`` instead. Rows built here are not recorded."""
-    a = eliminate_epsilon(a)
+def _dfa(a: Nfa, columns: tuple[str, ...]) -> tuple[Nfa, list[list[int]]]:
+    """An automaton of ``L(a)`` and its rows over ``columns`` (a symbol fills
+    its first column): the rows recorded on ``a`` when ``a.alphabet`` starts
+    ``columns`` (the walks zip rows, so a short row just ends early), else
+    rows built, not recorded, from ``eliminate_epsilon(a)``'s transitions, or
+    from ``determinize(a)`` once a column gets a second target."""
     rows = a.__dict__.get("_rows")
-    if rows is None:
-        index = {x: c for c, x in enumerate(a.alphabet)}
-        rows = [[-1] * len(index) for _ in a.states]
-        for q, x, r in a.transitions:
-            row, c = rows[q], index[x]
+    if rows is not None and columns[: len(a.alphabet)] == a.alphabet:
+        return a, rows
+    a = eliminate_epsilon(a)
+    index: dict[str, int] = {}
+    for c, x in enumerate(columns):
+        index.setdefault(x, c)
+    rows = [[-1] * len(columns) for _ in a.states]
+    for q, x, r in a.transitions:
+        c = index.get(x)
+        if c is not None:
+            row = rows[q]
             if row[c] >= 0:
-                a = determinize(a)
-                return a, a.__dict__["_rows"]
+                return _dfa(determinize(a), columns)
             row[c] = r
     return a, rows
 
 
-def _columns(
-    rows: list[list[int]], alphabet: tuple[str, ...], columns: tuple[str, ...]
-) -> list[list[int]]:
-    """``rows`` over ``alphabet`` moved to ``columns``, where a symbol fills
-    its first column and a symbol not there is dropped. Rows over a prefix of
-    ``columns`` are returned as they are: the walks zip rows, so a short row
-    just ends early."""
-    if columns[: len(alphabet)] == alphabet:
-        return rows
-    index: dict[str, int] = {}
-    for c, x in enumerate(columns):
-        index.setdefault(x, c)
-    moves = [(index[x], i) for i, x in enumerate(alphabet) if x in index]
-    out = []
-    for row in rows:
-        moved = [-1] * len(columns)
-        for c, i in moves:
-            moved[c] = row[i]
-        out.append(moved)
-    return out
-
-
 def minimize(a: Nfa) -> Nfa:
     """The trimmed minimal DFA of ``L(a)``: the front end of ``_minimal``, over
-    the rows of ``_dfa(a)``."""
-    a, rows = _dfa(a)
+    the rows of ``_dfa(a, a.alphabet)``."""
+    a, rows = _dfa(a, a.alphabet)
     return _minimal(a.alphabet, rows, a.initial, a.accepting)
 
 
@@ -378,7 +314,7 @@ def _minimal(
         out.append(row)
     final = frozenset(i for i, q in enumerate(order) if q in accepting)
     # the empty language is one edgeless state
-    return _from_rows(alphabet, out or [[-1] * len(alphabet)], final, _trimmed=True)
+    return _from_rows(alphabet, out or [[-1] * len(alphabet)], final)
 
 
 def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
@@ -399,16 +335,15 @@ def complement(a: Nfa, alphabet: Sequence[str] | None = None) -> Nfa:
 
 def _product_rows(a: Nfa, b: Nfa) -> tuple[tuple[str, ...], list[list[int]], frozenset[int]]:
     """The product walk of ``L(a) ∩ L(b)`` over the joint alphabet, on the
-    rows of ``_dfa(a)`` and ``_dfa(b)``.
+    rows that ``_dfa`` gives over it.
 
     States are the pairs reached, keyed ``qa * nb + qb`` and numbered in
     discovery order: breadth-first, symbols in alphabet order. Returns the
     alphabet, one row per state, and the accepting states.
     """
-    a, rows_a = _dfa(a)
-    b, rows_b = _dfa(b)
     alpha = _merge_alphabets(a.alphabet, b.alphabet)
-    rows_b = _columns(rows_b, b.alphabet, alpha)  # a's alphabet starts alpha
+    a, rows_a = _dfa(a, alpha)
+    b, rows_b = _dfa(b, alpha)
     nb = b.num_states
     keys = [a.initial * nb + b.initial]
     index = {keys[0]: 0}
@@ -452,9 +387,7 @@ def union(*parts: Nfa) -> Nfa:
         accepting |= {q + offset for q in p.accepting}
         offset += p.num_states
     alpha = _merge_alphabets(*(p.alphabet for p in parts))
-    return _nfa(
-        offset, alpha, frozenset(transitions), 0, frozenset(accepting), _has_epsilon=bool(parts)
-    )
+    return _nfa(offset, alpha, frozenset(transitions), 0, frozenset(accepting))
 
 
 def difference(a: Nfa, b: Nfa) -> Nfa:
@@ -481,15 +414,17 @@ def shortest_common_word(
     ``alphabet`` order; ``None`` iff the intersection is empty.
 
     One breadth-first walk, symbols in alphabet order, over state tuples of
-    the trimmed DFAs that ``_dfa`` gives (an NFA is determinized, which keeps
-    its language), with a parent pointer per tuple. A word reaches one tuple,
-    so a tuple is first reached by its (length, lex)-least word, and the first
-    accepting tuple discovered ends the least common word. The product is
-    never materialized. Labels outside ``alphabet`` are never walked.
+    the automata that ``_dfa`` gives over ``alphabet`` (an NFA is
+    determinized, which keeps its language), with a parent pointer per tuple.
+    A word reaches one tuple, so a tuple is first reached by its
+    (length, lex)-least word, and the first accepting tuple discovered ends
+    the least common word. Neither dead nor unreachable states change that,
+    so nothing is trimmed. The product is never materialized. Labels outside
+    ``alphabet`` are never walked.
     """
     columns = tuple(alphabet)
-    comps = [_dfa(trim(eliminate_epsilon(a))) for a in automata]
-    tables = [_columns(rows, c.alphabet, columns) for c, rows in comps]
+    comps = [_dfa(a, columns) for a in automata]
+    tables = [rows for _, rows in comps]
     finals = [c.accepting for c, _ in comps]
     start = tuple(c.initial for c, _ in comps)
     # the tuple it was reached from, and the column of the symbol read

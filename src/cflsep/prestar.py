@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .grammar import Cfg, GrammarError, Production, fresh_name, is_normal_form, normalize, nt
-from .nfa import Nfa, _nfa, eliminate_epsilon, trim, word_automaton
+from .nfa import Nfa, _nfa, eliminate_epsilon, word_automaton
 
 
 @lru_cache(maxsize=16)  # one slot per grammar a query decides: up to 10 in the benchmark
@@ -215,8 +215,9 @@ def prestar(g: Cfg, a: Nfa) -> Nfa:
 
 
 def intersects(g: Cfg, a: Nfa) -> bool:
-    """True iff L(g) ∩ L(a) is nonempty. Accepts any grammar and automaton."""
-    return _Saturator(g, trim(eliminate_epsilon(a))).saturate(stop_at_goal=True)
+    """True iff L(g) ∩ L(a) is nonempty. Accepts any grammar and automaton,
+    which is saturated untrimmed: no initial-to-accepting path has a useless state."""
+    return _Saturator(g, eliminate_epsilon(a)).saturate(stop_at_goal=True)
 
 
 def in_language(g: Cfg, word: Sequence[str]) -> bool:

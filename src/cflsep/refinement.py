@@ -113,7 +113,7 @@ def _position_automaton(word: tuple[str, ...], ranges: Iterable[tuple[int, int]]
     _, last = concat(0, n, {0})  # state 0 precedes the first positions
     edges.update((p, None, n + 1) for p in last)
     alphabet = tuple(dict.fromkeys(word))
-    return _nfa(n + 2, alphabet, frozenset(edges), 0, frozenset({n + 1}), _has_epsilon=True)
+    return _nfa(n + 2, alphabet, frozenset(edges), 0, frozenset({n + 1}))
 
 
 def _session(g: Cfg, base: Nfa) -> PrestarSession:

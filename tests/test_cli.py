@@ -23,7 +23,7 @@ from cflsep.cli import (
     main,
 )
 from cflsep.engine import Overlap, Separable
-from cflsep.grammar import Cfg, Production, nt, t
+from cflsep.grammar import Cfg, Production, normalize, nt, t
 from cflsep.grammar_io import ParseError, parse_file, parse_named, render
 from cflsep.nfa import Nfa, difference, word_automaton
 
@@ -101,6 +101,31 @@ def test_render_round_trip_random():
         g = random_cfg(rng)
         (back,) = parse_file(render([g]))
         assert enumerate_words(g, 6) == enumerate_words(back, 6)
+
+
+def test_render_renames_nonterminals_that_are_no_identifiers():
+    # normalize names each terminal's wrapper after the terminal: "+_1"
+    (g,) = parse_file('grammar G { start S; S -> "+" S "-" | "x"; }')
+    assert "+_1" in normalize(g).variables
+    rng = random.Random(405)
+    renamed = 0
+    for _ in range(40):
+        gn = normalize(random_cfg(rng, alphabet=("+", "-", "a")))
+        text = render([gn])
+        (back,) = parse_file(text)
+        assert enumerate_words(gn, 5) == enumerate_words(back, 5)
+        assert render([back]) == text
+        renamed += any(v not in back.variables for v in gn.variables)
+    assert renamed >= 10
+    (back,) = parse_file(render([normalize(g)]))
+    assert enumerate_words(back, 5) == enumerate_words(g, 5)
+
+
+def test_render_rejects_a_terminal_the_format_cannot_spell():
+    for bad in ('say "hi"', "two\nlines", ""):
+        g = Cfg(("S",), (bad, "a"), (Production("S", (t("a"), t(bad))),), "S")
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            render([g])
 
 
 _TERMINALS = ("a", "b", "ab", "x_1", "if")

@@ -32,7 +32,7 @@ from cflsep.nfa import (
     union,
     word_automaton,
 )
-from cflsep.prestar import PrestarSession, in_language
+from cflsep.prestar import PrestarSession, in_language, intersects
 from cflsep.refinement import (
     StarGeneralization,
     _crosses,
@@ -341,7 +341,7 @@ def test_boolean_structure(pair):
 
 # --- values that record facts about themselves --------------------------------
 
-MARKS = ("_trimmed", "_has_epsilon", "_rows")
+MARKS = ("_rows",)
 
 
 def _marks(a: Nfa) -> dict:
@@ -394,10 +394,6 @@ def test_trim_returns_a_trimmed_value_itself():
         t = trim(a)
         assert trim(t) is t
         assert trim(_fresh(t)) == t
-    # a marked value is returned at once, without a look at its states
-    forged = hand_nfa(2, ("a",), set(), 0, set())
-    forged.__dict__["_trimmed"] = True
-    assert trim(forged) is forged
 
 
 def test_intersect_output_is_trimmed():
@@ -424,11 +420,16 @@ def test_trim_is_identity_exactly_without_useless_states():
 
 
 def test_marks_leave_equality_hash_pickle_and_copy_alone():
-    for a in _sample_automata():
-        before = _fresh(a)
+    # trim and has_epsilon read a value and record nothing on it; the one
+    # mark, rows, stays on the value a kernel built and out of == and hash
+    rng = random.Random(30)
+    samples = _sample_automata()
+    for a in samples + [complement(rng.choice(samples)) for _ in range(30)]:
+        before, marks = _fresh(a), _marks(a)
         t = trim(a)
         t.has_epsilon()
-        assert _marks(t) == {"_trimmed": True, "_has_epsilon": t.has_epsilon()}
+        a.has_epsilon()
+        assert _marks(a) == marks and _marks(t) == (marks if t is a else {})
         plain = _fresh(t)
         assert t == plain and hash(t) == hash(plain)
         assert a == before and hash(a) == hash(before)
@@ -470,11 +471,11 @@ def test_recorded_rows_are_the_rows_of_the_transitions():
         for v in values:
             rows = vars(v)["_rows"]
             assert rows == _rows_of(v), name
-            assert _dfa(v) == (v, rows) and _dfa(v)[1] is rows
+            assert _dfa(v, v.alphabet) == (v, rows) and _dfa(v, v.alphabet)[1] is rows
     # rows built for a DFA that has none are handed out, not recorded
     for a in _dfas_and_products():
         plain = _fresh(a)
-        assert _dfa(plain) == (plain, _rows_of(plain))
+        assert _dfa(plain, plain.alphabet) == (plain, _rows_of(plain))
         assert "_rows" not in vars(plain)
 
 
@@ -487,26 +488,75 @@ def test_replace_drops_rows_while_pickle_and_copy_keep_them():
             assert _marks(dataclasses.replace(v)) == {}
             # stale rows would still walk the edges that were taken away
             emptied = dataclasses.replace(v, transitions=frozenset())
-            assert _dfa(emptied)[1] == [[-1] * len(v.alphabet)] * v.num_states
+            assert _dfa(emptied, v.alphabet)[1] == [[-1] * len(v.alphabet)] * v.num_states
             assert shortest_common_word([emptied], v.alphabet) in (None, ())
 
 
-def test_has_epsilon_is_recorded_once():
+def _rows_over(a: Nfa, columns: tuple[str, ...]) -> list[list[int]]:
+    """The rows of an epsilon-free automaton over ``columns``, rebuilt from
+    its transitions: a symbol fills its first column, other labels are left
+    out, and no column may have two targets."""
+    rows = [[-1] * len(columns) for _ in a.states]
+    for q, x, r in a.transitions:
+        if x in columns:
+            c = columns.index(x)
+            assert rows[q][c] == -1, "not deterministic over the columns"
+            rows[q][c] = r
+    return rows
+
+
+def test_dfa_hands_out_rows_over_any_columns():
+    # columns that permute, omit, extend and repeat the alphabet's symbols,
+    # for values with recorded rows, plain DFAs and NFAs
+    rng = random.Random(45)
+    with_rows = [v for values in _row_values().values() for v in values[::4]]
+    plain = [_fresh(a) for a in _dfas_and_products()]
+    nfas = [a for a in _sample_automata() if not _is_dfa(eliminate_epsilon(a))]
+    handed = rebuilt = determinized = 0
+    for v in with_rows + plain + nfas:
+        alpha = v.alphabet
+        shuffled = rng.sample(alpha, len(alpha))
+        for columns in (
+            alpha, alpha + ("z",), alpha + alpha[:1], tuple(shuffled), alpha[1:],
+            ("z",) + alpha, alpha[::-1] + alpha,
+        ):
+            d, rows = _dfa(v, columns)
+            assert not d.has_epsilon() and d.alphabet == alpha
+            # a recorded row may be shorter than the columns: it ends early
+            padded = [row + [-1] * (len(columns) - len(row)) for row in rows]
+            assert padded == _rows_over(d, columns)
+            recorded = vars(v).get("_rows")
+            assert (rows is recorded) == (recorded is not None and columns[: len(alpha)] == alpha)
+            handed += rows is recorded
+            rebuilt += recorded is not None and rows is not recorded
+            if d == determinize(v) != eliminate_epsilon(v):
+                determinized += 1
+            else:
+                assert d in (v, eliminate_epsilon(v))
+    assert handed >= 300 and rebuilt >= 300 and determinized >= 100
+
+
+def test_has_epsilon_reads_rows_or_scans():
     a = hand_nfa(2, ("a",), {(0, None, 1), (1, "a", 1)}, 0, {1})
-    assert a.has_epsilon() and _marks(a) == {"_has_epsilon": True}
+    assert a.has_epsilon() and _marks(a) == {}
     b = eliminate_epsilon(a)
-    assert not b.has_epsilon()
+    assert not b.has_epsilon() and _marks(b) == {}
     assert eliminate_epsilon(b) is b
+    # a value with rows is an epsilon-free DFA: its transitions are not read
+    c = complement(a)
+    assert not c.has_epsilon() and not dataclasses.replace(c).has_epsilon()
+    hollow = copy.copy(c)
+    object.__setattr__(hollow, "transitions", None)
+    assert not hollow.has_epsilon()
 
 
-def test_intersect_and_complement_record_that_they_have_no_epsilon():
-    # both build epsilon-free values, so they record it instead of a later scan
+def test_intersect_and_complement_build_epsilon_free_values():
     rng = random.Random(33)
     samples = _sample_automata()
     for _ in range(60):
         a, b = rng.choice(samples), rng.choice(samples)
         for out in (intersect(a, b), complement(a, ("a", "b"))):
-            assert vars(out)["_has_epsilon"] is False
+            assert not out.has_epsilon()
             assert all(x is not None for _, x, _ in out.transitions)
             assert eliminate_epsilon(out) is out
             plain = _fresh(out)
@@ -611,10 +661,10 @@ def test_minimize_is_canonical():
         assert minimize(m) == m
 
 
-def test_minimize_marks_its_value_trimmed_and_epsilon_free():
+def test_minimize_records_the_rows_of_a_trimmed_value():
     for a in _dfas_and_products():
         m = minimize(a)
-        assert _marks(m) == {"_trimmed": True, "_has_epsilon": False, "_rows": _rows_of(m)}
+        assert _marks(m) == {"_rows": _rows_of(m)} and not m.has_epsilon()
         assert trim(m) is m and trim(_fresh(m)) == m
 
 
@@ -672,12 +722,52 @@ def _nfa_pairs(rng: random.Random, count: int) -> list[tuple[Nfa, Nfa]]:
     ]
 
 
+def _padded(a: Nfa, rng: random.Random) -> Nfa:
+    """``a`` with two unreachable states, one of them accepting, that lead
+    anywhere, and two dead states that ``a``'s states lead into and that lead
+    only to each other: the same language, and ``trim`` gives ``trim(a)``."""
+    n = a.num_states
+    lost, dead = (n, n + 1), (n + 2, n + 3)
+    labels = a.alphabet + (None,)
+    edges = set(a.transitions)
+    for _ in range(2 * n):
+        edges.add((rng.randrange(n), rng.choice(labels), rng.choice(dead)))
+        edges.add((rng.choice(lost), rng.choice(labels), rng.randrange(n + 4)))
+        edges.add((rng.choice(dead), rng.choice(labels), rng.choice(dead)))
+    return Nfa(n + 4, a.alphabet, frozenset(edges), a.initial, a.accepting | {lost[0]})
+
+
+def test_walks_answer_alike_on_an_automaton_and_its_trim():
+    # the witness search and intersects walk their operands untrimmed
+    rng = random.Random(44)
+    samples = _sample_automata()
+    samples += [complement(rng.choice(samples), ("a", "b")) for _ in range(40)]
+    grammars = [random_cfg(rng) for _ in range(20)]
+    found = met = 0
+    for _ in range(200):
+        a, b = rng.choice(samples), rng.choice(samples)
+        pa, pb = _padded(a, rng), _padded(b, rng)
+        assert trim(pa) == trim(a) != pa
+        order = _merge_alphabets(a.alphabet, b.alphabet)[::-1]
+        w = shortest_common_word([pa, pb], order)
+        assert w == shortest_common_word([trim(a), trim(b)], order)
+        assert shortest_common_word([a, pa], a.alphabet) == shortest_common_word([trim(a)], a.alphabet)
+        g = rng.choice(grammars)
+        for x, px in ((a, pa), (b, pb)):
+            meets = intersects(g, px)
+            assert meets == intersects(g, x) == intersects(g, trim(x))
+            met += meets
+        found += w is not None
+    assert 20 <= found <= 180 and 20 <= met <= 380
+
+
 def test_product_intersect_and_difference_equal_the_reference_product():
     # the walk reads an epsilon-free DFA as it is and determinizes any other
     # operand, so its product is the plain product of those DFAs
     determinized = 0
     for a, b in _nfa_pairs(random.Random(38), 300):
-        da, db = _dfa(a)[0], _dfa(b)[0]
+        joint = _merge_alphabets(a.alphabet, b.alphabet)
+        da, db = _dfa(a, joint)[0], _dfa(b, joint)[0]
         for x, dx in ((a, da), (b, db)):
             if _is_dfa(eliminate_epsilon(x)):
                 assert dx == eliminate_epsilon(x)
@@ -690,13 +780,10 @@ def test_product_intersect_and_difference_equal_the_reference_product():
         meet = intersect(a, b)
         assert meet == trim(reference)
         # trim keeps the product's rows only when it returns the product itself
-        assert _marks(meet) in (
-            {"_trimmed": True, "_has_epsilon": False},
-            {"_trimmed": True, "_has_epsilon": False, "_rows": _rows_of(meet)},
-        )
+        assert _marks(meet) in ({}, {"_rows": _rows_of(meet)})
         d = difference(a, b)
         assert d == minimize(reference_product(da, complement(b, reference.alphabet)))
-        assert _marks(d) == {"_trimmed": True, "_has_epsilon": False, "_rows": _rows_of(d)}
+        assert _marks(d) == {"_rows": _rows_of(d)}
     assert determinized >= 100
 
 
@@ -796,7 +883,10 @@ def test_kernel_outputs_pass_public_validation():
 
 _HASH_SEED_SCRIPT = """
 import random
-from cflsep.nfa import Nfa, difference, intersect, shortest_common_word, to_dot
+from cflsep.nfa import (
+    Nfa, complement, determinize, difference, eliminate_epsilon, intersect, minimize,
+    shortest_common_word, to_dot,
+)
 
 rng = random.Random(41)
 
@@ -813,6 +903,8 @@ for _ in range(10):
     print(to_dot(difference(a, b)))
     print(to_dot(difference(difference(b, a), a)))
     print(shortest_common_word([a, b, a], ("c", "b", "a")))
+    for one in (complement(a), determinize(a), minimize(a), eliminate_epsilon(a)):
+        print(to_dot(one))
 """
 
 
@@ -830,4 +922,4 @@ def test_library_results_do_not_depend_on_the_hash_seed():
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    assert outputs[0].count("digraph") == 30
+    assert outputs[0].count("digraph") == 70
