@@ -206,8 +206,32 @@ class _Builder:
         return tasks
 
 
+def _all_productive(g: Cfg) -> bool:
+    """Whether every nonterminal of ``g`` is productive, i.e. has a
+    right-hand side of terminals and productive nonterminals. A least
+    fixpoint in time linear in ``g``: each production counts its
+    nonterminal occurrences not yet known productive."""
+    waiting = [sum(not s.terminal for s in p.rhs) for p in g.productions]
+    uses: dict[str, list[int]] = {v: [] for v in g.variables}
+    for i, p in enumerate(g.productions):
+        for s in p.rhs:
+            if not s.terminal:
+                uses[s.name].append(i)
+    todo = [p.lhs for p, n in zip(g.productions, waiting) if n == 0]
+    productive: set[str] = set()
+    while todo:
+        v = todo.pop()
+        if v not in productive:
+            productive.add(v)
+            for i in uses[v]:
+                waiting[i] -= 1
+                if not waiting[i]:
+                    todo.append(g.productions[i].lhs)
+    return len(productive) == len(g.variables)
+
+
 def make_fa(g: Cfg) -> Nfa:
-    """Compile a strongly regular grammar into a finite automaton.
+    """Compile a strongly regular grammar into a trim finite automaton.
 
     Raises ``ApproximationError`` when a reachable recursive block is neither
     left- nor right-linear. Recursion is closed through one state per block
@@ -215,13 +239,29 @@ def make_fa(g: Cfg) -> Nfa:
     "right" and "cyclic" blocks hook the caller's initial state to the
     member state. Each encounter of a recursive nonterminal instantiates the
     block afresh, which is finite because the block condensation is acyclic.
+
+    When every nonterminal of ``g`` is productive, the builder makes no
+    useless state, so its automaton is returned as built: ``trim`` would
+    return it unchanged. Every path the builder emits reads a right-hand
+    side all of whose symbols derive terminal words, so every state on it
+    lies on a complete path between the path's ends. A flat nonterminal
+    emits one such path per alternative. An instance of a recursive block
+    puts each member's state between the block's entry and exit: the
+    member derives a word through a chain of members ending in a production
+    that leaves the block, which links its state to the entry ("left") or
+    to the exit ("right", "cyclic"); and the member called uses it within
+    the block, since members of a block reach one another, which links it
+    to the other end. Otherwise the automaton is trimmed, which drops the
+    states of unproductive nonterminals: ``S -> "b" | A; A -> "a" A;`` is
+    a valid grammar.
     """
     builder = _Builder(g)
     q0 = builder.fresh_state()
     qf = builder.fresh_state()
     builder.emit(q0, (nt(g.start),), qf)
     transitions = frozenset(builder.transitions)
-    return trim(_nfa(builder.num_states, g.terminals, transitions, q0, frozenset({qf})))
+    a = _nfa(builder.num_states, g.terminals, transitions, q0, frozenset({qf}))
+    return a if _all_productive(g) else trim(a)
 
 
 def nederhof(g: Cfg) -> Nfa:

@@ -202,12 +202,21 @@ def _quoted(terminal: str) -> str:
 
 
 def render(grammars: list[Cfg], names: list[str] | None = None) -> str:
-    """Grammar file text that parses back to language-identical grammars.
-    A nonterminal whose name is no identifier is renamed (``_spellings``);
-    a terminal that is empty or holds ``"`` or a newline raises
-    ``ValueError``."""
+    """Grammar file text that parses back to language-identical grammars,
+    under ``names`` (default ``G1``, ``G2``, ...).
+    A nonterminal whose name is no identifier is renamed (``_spellings``).
+    ``ValueError`` is raised when ``names`` and ``grammars`` differ in
+    length, for a name that is no identifier or repeats an earlier one, and
+    for a terminal that is empty or holds ``"`` or a newline."""
     if names is None:
         names = [f"G{i + 1}" for i in range(len(grammars))]
+    if len(names) != len(grammars):
+        raise ValueError(f"{len(names)} names for {len(grammars)} grammars")
+    for i, name in enumerate(names):
+        if not re.fullmatch(_IDENT, name):
+            raise ValueError(f"grammar name {name!r} is not an identifier")
+        if name in names[:i]:
+            raise ValueError(f"duplicate grammar name {name!r}")
     blocks = []
     for name, g in zip(names, grammars):
         spelled = _spellings(g)

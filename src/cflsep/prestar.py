@@ -40,21 +40,26 @@ from .grammar import Cfg, GrammarError, Production, fresh_name, is_normal_form, 
 from .nfa import Nfa, _nfa, eliminate_epsilon, word_automaton
 
 
-@lru_cache(maxsize=16)  # one slot per grammar a query decides: up to 10 in the benchmark
-def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], tuple[str, ...], dict[str, tuple[list, list, list]]]:
-    """``normalize(g)``, its terminals, its ε-rule heads and its rule index
-    ``of``, built once per grammar value: ``of[X]`` holds the A with A -> X,
-    the (A, C) with A -> XC and the (A, B) with A -> BX."""
-    gn = normalize(g)
+def _index(productions: Iterable[Production]) -> dict[str, tuple[list, list, list]]:
+    """The rule index ``of`` of normal-form ``productions``: ``of[X]`` holds
+    the A with A -> X, the (A, C) with A -> XC and the (A, B) with A -> BX."""
     of: dict[str, tuple[list, list, list]] = {}
-    for p in gn.productions:
+    for p in productions:
         names = [x.name for x in p.rhs]
         if len(names) == 1:
             of.setdefault(names[0], ([], [], []))[0].append(p.lhs)
         elif names:
             of.setdefault(names[0], ([], [], []))[1].append((p.lhs, names[1]))
             of.setdefault(names[1], ([], [], []))[2].append((p.lhs, names[0]))
-    return gn, frozenset(gn.terminals), tuple(p.lhs for p in gn.productions if not p.rhs), of
+    return of
+
+
+@lru_cache(maxsize=16)  # one slot per grammar a query decides: up to 10 in the benchmark
+def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], tuple[str, ...], dict[str, tuple[list, list, list]]]:
+    """``normalize(g)``, its terminals, its ε-rule heads and its rule index,
+    built once per grammar value."""
+    gn = normalize(g)
+    return gn, frozenset(gn.terminals), tuple(p.lhs for p in gn.productions if not p.rhs), _index(gn.productions)
 
 
 @lru_cache(maxsize=16)  # slots of its own: a session's grammar fills one of _rules as well
@@ -77,7 +82,7 @@ def _context(g: Cfg) -> tuple[Cfg, dict[str, tuple[list, list, list]], dict[str 
         elif p.rhs:
             prods.append(Production(hat[p.rhs[0].name], (up,)))
     aug = Cfg(gn.variables + tuple(hat.values()), gn.terminals, tuple(prods), gn.start)
-    return aug, _rules.__wrapped__(aug)[3], hat  # indexed outside the cache
+    return aug, _index(aug.productions), hat  # in normal form by construction
 
 
 class _Saturator:

@@ -4,8 +4,10 @@ import runpy
 
 import pytest
 
+import cflsep.approximation as approximation
 from cflsep.approximation import (
     ApproximationError,
+    _Builder,
     make_fa,
     nederhof,
     sigma_star,
@@ -13,7 +15,7 @@ from cflsep.approximation import (
 )
 import cflsep.grammar as grammar_mod
 from cflsep.grammar_io import parse_named
-from cflsep.nfa import to_dot
+from cflsep.nfa import Nfa, _nfa, to_dot, trim
 
 from oracles import (
     accepts,
@@ -128,6 +130,79 @@ def test_make_fa_exact_on_random_right_linear():
         g = grammar_mod.Cfg(names, ("a", "b"), tuple(prods), "S")
         auto = make_fa(g)
         assert enumerate_accepted(auto, 7) == enumerate_words(g, 7)
+
+
+def _built(g):
+    """make_fa's automaton before any trim, as its builder leaves it."""
+    builder = _Builder(g)
+    q0, qf = builder.fresh_state(), builder.fresh_state()
+    builder.emit(q0, (grammar_mod.nt(g.start),), qf)
+    return _nfa(builder.num_states, g.terminals, frozenset(builder.transitions), q0, frozenset({qf}))
+
+
+def _unproductive(g):
+    productive, grew = set(), True
+    while grew:
+        grew = False
+        for p in g.productions:
+            if p.lhs not in productive and all(s.terminal or s.name in productive for s in p.rhs):
+                productive.add(p.lhs)
+                grew = True
+    return set(g.variables) - productive
+
+
+def _dag(depth):
+    rules = "".join(f"N{i} -> N{i + 1} N{i + 1}; " for i in range(depth))
+    return grammar(f'grammar Dag {{ start N0; {rules}N{depth} -> "a" | "b"; }}')
+
+
+def _no_trim(a):
+    raise AssertionError("make_fa trimmed a grammar whose nonterminals are all productive")
+
+
+def test_make_fa_of_a_productive_grammar_never_trims(monkeypatch):
+    monkeypatch.setattr(approximation, "trim", _no_trim)
+    grammars = [strongly_regular(g) for _, g in parse_named((FIXTURES / "c5c7.cfg").read_text())]
+    for g in grammars + [_dag(12)]:
+        assert not _unproductive(g)
+        a = make_fa(g)
+        assert a == _built(g)
+    assert a.num_states == 2**12 + 1
+
+
+def test_make_fa_is_the_trim_of_its_builder_on_random_grammars(monkeypatch):
+    trims = []
+    monkeypatch.setattr(approximation, "trim", lambda a: trims.append(a) or trim(a))
+    rng = random.Random(1818)
+    kinds = set()
+    for _ in range(200):
+        g = strongly_regular(random_cfg(rng))
+        trims.clear()
+        a = make_fa(g)
+        assert a == trim(_built(g))
+        unproductive = bool(_unproductive(g))
+        assert len(trims) == unproductive
+        if not unproductive:
+            assert trim(a) is a
+        kinds.add(unproductive)
+    assert kinds == {False, True}
+
+
+def test_make_fa_trims_unproductive_nonterminals():
+    # an unproductive start: the one-state empty automaton
+    g = grammar('grammar G { start S; S -> "a" S; }')
+    assert make_fa(g) == Nfa(1, ("a",), frozenset(), 0, frozenset())
+    # A shares S's recursive block but derives no word, since B derives none
+    g = grammar('grammar G { start S; S -> "a" A | "b"; A -> B S; B -> "c" B; }')
+    block = grammar_mod.sccs(g).index
+    assert block["A"] == block["S"] and _unproductive(g) == {"A", "B"}
+    raw, a = _built(g), make_fa(g)
+    assert a == trim(raw) and a.num_states < raw.num_states
+    assert enumerate_accepted(a, 3) == {("b",)}
+    # U derives no word, but S does not reach it: no state is useless
+    g = grammar('grammar G { start S; S -> "a" S | "b"; U -> "u" U; }')
+    raw = _built(g)
+    assert _unproductive(g) == {"U"} and trim(raw) is raw and make_fa(g) == raw
 
 
 def test_nederhof_matched_pairs():

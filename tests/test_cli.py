@@ -128,6 +128,25 @@ def test_render_rejects_a_terminal_the_format_cannot_spell():
             render([g])
 
 
+def test_render_rejects_names_that_do_not_match_its_grammars():
+    g = grammar('grammar G { start S; S -> "a"; }')
+    with pytest.raises(ValueError, match="1 names for 2 grammars"):
+        render([g, g], ["A"])
+
+
+def test_render_rejects_a_grammar_name_that_is_no_identifier():
+    g = grammar('grammar G { start S; S -> "a"; }')
+    for bad in ("my grammar", "", "1G", "A-B", '"G"'):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            render([g], [bad])
+
+
+def test_render_rejects_a_repeated_grammar_name():
+    g = grammar('grammar G { start S; S -> "a"; }')
+    with pytest.raises(ValueError, match="duplicate grammar name 'A'"):
+        render([g, g, g], ["A", "B", "A"])
+
+
 _TERMINALS = ("a", "b", "ab", "x_1", "if")
 
 

@@ -12,7 +12,7 @@ from cflsep.prestar import PrestarSession, _context, _rules, _Saturator, in_lang
 from cflsep.refinement import gen_language, StarGeneralization
 
 from oracles import accepts, enumerate_accepted, enumerate_words, prestar_triples
-from support import AIBI1, NAME_CLASH, PALINDROME, grammar, hand_nfa, random_cfg, random_nfa
+from support import AIBI1, FIXTURES, NAME_CLASH, PALINDROME, grammar, hand_nfa, random_cfg, random_nfa
 
 ABBA = word_automaton(("a", "b", "b", "a"))
 
@@ -269,6 +269,16 @@ def test_kernel_matches_reference_fixpoint(pair):
     assert prestar(gn, a).transitions == a.transitions | reference
     spans = any((a.initial, gn.start, f) in reference for f in a.accepting)
     assert intersects(g, a) == spans
+
+
+def test_context_grammar_is_indexed_as_its_normal_form():
+    # _context indexes the augmented grammar's productions as they are
+    rng = random.Random(606)
+    grammars = [g for path in sorted(FIXTURES.glob("*.cfg")) for g in parse_file(path.read_text())]
+    for g in grammars + [random_cfg(rng) for _ in range(60)]:
+        aug, of, _ = _context(g)
+        assert normalize(aug) == aug
+        assert of == _rules.__wrapped__(aug)[3]
 
 
 def test_each_grammar_fills_one_rule_index_slot():
