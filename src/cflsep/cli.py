@@ -118,10 +118,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not args.timeout >= 0:  # NaN compares false with every clock reading
             raise _UsageError(f"--timeout must be a non-negative number, not {args.timeout}")
         named = _load_grammars(args.files)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, UnicodeDecodeError, ParseError, GrammarError) as exc:
+    except (_UsageError, OSError, UnicodeDecodeError, ParseError, GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -106,11 +106,7 @@ def check_disjoint(
     """
     if len(grammars) < 2:
         raise GrammarError("need at least two grammars")
-    alphabet: list[str] = []
-    for g in grammars:
-        for sym in g.terminals:
-            if sym not in alphabet:
-                alphabet.append(sym)
+    alphabet = list(dict.fromkeys(sym for g in grammars for sym in g.terminals))
 
     if cfg.abstraction == "sigma-star":
         approxs = [sigma_star(tuple(alphabet)) for _ in grammars]

@@ -205,9 +205,12 @@ def render(grammars: list[Cfg], names: list[str] | None = None) -> str:
     """Grammar file text that parses back to language-identical grammars,
     under ``names`` (default ``G1``, ``G2``, ...).
     A nonterminal whose name is no identifier is renamed (``_spellings``).
-    ``ValueError`` is raised when ``names`` and ``grammars`` differ in
-    length, for a name that is no identifier or repeats an earlier one, and
-    for a terminal that is empty or holds ``"`` or a newline."""
+    ``ValueError`` is raised for an empty ``grammars``, since a file holds
+    at least one grammar, when ``names`` and ``grammars`` differ in length,
+    for a name that is no identifier or repeats an earlier one, and for a
+    terminal that is empty or holds ``"`` or a newline."""
+    if not grammars:
+        raise ValueError("no grammars to render")
     if names is None:
         names = [f"G{i + 1}" for i in range(len(grammars))]
     if len(names) != len(grammars):

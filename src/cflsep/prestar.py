@@ -26,8 +26,8 @@ derives context triples, seeded with (accepting, S^, initial): (r, X^, q)
 means some u leads from the initial state to q, some v from r to an
 accepting state, and S =>* u X v, with ε^ the hole. So (r, x^, q) rejects
 the edge (q, x, r), and any batch of edges holding it, by one lookup; other
-batches are saturated up to the goal and kept or truncated back whole.
-Sessions are single-owner mutable values.
+batches are saturated up to the goal and kept, on a stack that ``pop``
+unwinds, or truncated back whole. Sessions are single-owner mutable values.
 """
 
 from __future__ import annotations
@@ -187,12 +187,8 @@ class _Saturator:
         self.done = i
         return self.goal_met
 
-    def mark(self) -> int:
-        assert self.done == len(self.journal), "mark only valid at a fixpoint"
-        return self.done
-
     def revert(self, mark: int) -> None:
-        """Drop the triples journaled from ``mark`` on; their rows may stay empty."""
+        """Drop the triples journaled from ``mark``, a fixpoint's journal length, on."""
         by_start, by_end = self.by_start, self.by_end
         for q, sym, r in self.journal[mark:]:
             by_start[q][sym].discard(r)
@@ -240,13 +236,16 @@ class PrestarSession:
     batch with an edge that a context triple puts in a word of L(g) is
     rejected by one lookup per edge; any other is added whole and committed
     only if the start symbol still spans no initial-to-accepting pair, and is
-    otherwise rolled back exactly with its triples. A session over a word is
-    one over its chain automaton, ``PrestarSession(g, word_automaton(w))``.
+    otherwise truncated back exactly with its triples, as ``pop`` truncates
+    the newest committed one. Every call ends at a fixpoint, so the journal's
+    length is always a valid revert point. A session over a word is one over
+    its chain automaton, ``PrestarSession(g, word_automaton(w))``.
     """
 
     def __init__(self, grammar: Cfg, base: Nfa) -> None:
         self.base = base
-        self.edges: list[tuple[tuple[int, str | None, int], ...]] = []  # committed batches
+        self.edges: list[tuple[tuple[int, str | None, int], ...]] = []  # committed batches, newest last
+        self._marks: list[int] = []  # the journal's length before each committed batch
         self._sat = _Saturator(grammar, base, context=True)
         self._sat.saturate()
         self.grammar = self._sat.grammar
@@ -258,14 +257,6 @@ class PrestarSession:
     def intersects(self) -> bool:
         return self._sat.saturate()  # at a fixpoint: only the goal check
 
-    def snapshot(self) -> tuple[int, int]:
-        return (self._sat.mark(), len(self.edges))
-
-    def rollback(self, token: tuple[int, int]) -> None:
-        mark, edge_mark = token
-        self._sat.revert(mark)
-        del self.edges[edge_mark:]
-
     def _validate(self, edge: tuple[int, str | None, int]) -> None:
         src, label, dst = edge
         if not (0 <= src < self.base.num_states and 0 <= dst < self.base.num_states):
@@ -274,7 +265,7 @@ class PrestarSession:
             raise GrammarError(f"edge label {label!r} not in the base automaton's alphabet: {edge}")
 
     def try_add(self, batch: Iterable[tuple[int, str | None, int]]) -> bool:
-        """Tentatively add a batch of edges; report acceptance."""
+        """Add a batch of edges and commit it if L(g) stays excluded; report acceptance."""
         batch = tuple(batch)
         for edge in batch:
             self._validate(edge)
@@ -282,17 +273,27 @@ class PrestarSession:
         for src, label, dst in batch:
             if (label is None or label in sat.terminals) and src in sat.by_start[dst].get(sat.hat[label], ()):
                 return False  # a context triple (dst, label^, src): a word of L(g) uses the edge
-        token = self.snapshot()
+        mark = len(sat.journal)
         for edge in batch:
             sat.add_edge(*edge)
         if sat.saturate(stop_at_goal=True):
-            self.rollback(token)
+            sat.revert(mark)
             return False
         self.edges.append(batch)
+        self._marks.append(mark)
         return True
+
+    def pop(self) -> None:
+        """Undo the newest committed batch and its triples; IndexError if none."""
+        self._sat.revert(self._marks.pop())
+        self.edges.pop()
 
     def automaton(self) -> Nfa:
         """Base automaton plus every committed edge, each checked by ``try_add``."""
-        base = self.base
-        transitions = base.transitions.union(*self.edges)
-        return _nfa(base.num_states, base.alphabet, transitions, base.initial, base.accepting)
+        return _with_batches(self.base, self.edges)
+
+
+def _with_batches(base: Nfa, batches: Iterable[Iterable[tuple[int, str | None, int]]]) -> Nfa:
+    """``base`` plus the edges of ``batches``, as checked by ``PrestarSession.try_add``."""
+    transitions = base.transitions.union(*batches)
+    return _nfa(base.num_states, base.alphabet, transitions, base.initial, base.accepting)

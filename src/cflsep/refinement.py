@@ -7,15 +7,17 @@ label-replaying backward edges to the word's chain automaton (epsilon
 generalization). Both run one depth-first include/exclude walk over a fixed
 candidate order, include branch first, whose leaves are the valid
 generalizations. The greedy variants take its first leaf; the maximum
-variants union its subset-maximal leaves, within a node budget.
+variants union its subset-maximal leaves in walk order, within a node budget.
 
 The walk keeps the chosen candidates and tries each candidate on one
 incremental PrestarSession, as the batch of edges it adds to the chosen ones:
 an epsilon candidate is its own one-edge batch on the word's chain automaton,
 and a star range is the batch of edges that starring it adds to the word's
 position automaton, whose states do not depend on the ranges; a range that
-crosses a chosen one has no batch and is not tried. The base saturation
-decides whether the witness is in the language at all.
+crosses a chosen one has no batch and is not tried. An include pushes its
+batch on the session and backtracking pops it, so the walk's own stack holds
+only candidate indices. The base saturation decides whether the witness is
+in the language at all.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .grammar import Cfg, GrammarError
 from .nfa import Nfa, _nfa, union, word_automaton
-from .prestar import PrestarSession
+from .prestar import PrestarSession, _with_batches
 from .prestar import intersects  # noqa: F401  unused; bench/tracer.py patches refinement.intersects
 
 DEFAULT_BUDGET = 10**6
@@ -139,19 +141,20 @@ def _own_batch(chosen: Sequence, c: tuple) -> tuple:
     return c  # an epsilon candidate is its own batch of edges
 
 
-def _star_batches(w: tuple[str, ...], base: Nfa) -> Callable[[Sequence, tuple[int, int]], list | None]:
-    """The batch of a star range on a session over ``base``, the position
-    automaton of ``w``: the edges that starring it adds to ``gen_language`` of
-    the ranges chosen so far, or None for a range crossing one of them."""
-    built = [base.transitions]  # the position automaton's edges at each depth of the walk
+def _star_batches(
+    w: tuple[str, ...], session: PrestarSession
+) -> Callable[[Sequence, tuple[int, int]], list | None]:
+    """The batch of a star range on ``session``, over the position automaton
+    of ``w`` and holding the ranges chosen so far: the edges that starring it
+    adds to their ``gen_language``, or None for a range crossing one of them."""
 
     def batch(chosen: Sequence[tuple[int, int]], r: tuple[int, int]) -> list | None:
         if any(_crosses(r, a) for a in chosen):
             return None
-        del built[len(chosen) + 1:]
-        built.append(_position_automaton(w, (*chosen, r)).transitions)
+        held = (session.base.transitions, *session.edges)
+        edges = _position_automaton(w, (*chosen, r)).transitions.difference(*held)
         # in a fixed order, not the set's hash order (an edge's ends fix its label)
-        return sorted(built[-1] - built[-2], key=lambda e: (e[0], e[2]))
+        return sorted(edges, key=lambda e: (e[0], e[2]))
 
     return batch
 
@@ -161,18 +164,20 @@ def _walk(
 ) -> Iterator[frozenset]:
     """Depth-first include/exclude walk over ``candidates``, include first,
     yielding the frozenset of the chosen candidates at each leaf: the first
-    leaf is the greedy choice. A candidate ``c`` is tried on ``session`` as
-    the edge batch ``batch(chosen, c)``; a None batch is not tried and gets
-    no node. Nodes are counted against ``budget``. Candidates are distinct
-    and the choice only grows below an include, so no two nodes share choice
-    and position."""
+    leaf is the greedy choice, left committed on ``session``. A candidate
+    ``c`` is tried on ``session`` as the edge batch ``batch(chosen, c)``; a
+    None batch is not tried and gets no node. Nodes are counted against
+    ``budget``. Candidates are distinct and the choice only grows below an
+    include, so no two nodes share choice and position, and every strict
+    superset of a leaf comes before it: at the first candidate where the two
+    differ, the superset takes the include branch."""
     nodes = 0
     chosen: list = []
-    stack: list[tuple[int | None, object]] = [(0, None)]  # (None, token): roll back
+    stack: list[int | None] = [0]  # the candidate index to go on from, or None: undo the newest choice
     while stack:
-        idx, token = stack.pop()
+        idx = stack.pop()
         if idx is None:
-            session.rollback(token)
+            session.pop()
             chosen.pop()
             continue
         nodes += 1
@@ -183,22 +188,20 @@ def _walk(
         if idx == len(candidates):
             yield frozenset(chosen)
             continue
-        stack.append((idx + 1, None))
-        token = session.snapshot()
+        stack.append(idx + 1)
         if session.try_add(edges):
             chosen.append(candidates[idx])
-            stack += [(None, token), (idx + 1, None)]
+            stack += [None, idx + 1]
 
 
-def _union_of_maxima(
-    leaves: Iterator[frozenset], candidates: Sequence, build: Callable[[frozenset], Nfa]
-) -> Nfa:
+def _union_of_maxima(leaves: Iterator[frozenset], build: Callable[[frozenset], Nfa]) -> Nfa:
     # the union of all valid generalizations equals the union over the
     # subset-maximal ones (adding a range or edge only grows the language);
-    # equal sizes go in candidate order, so the union never depends on hashing
-    index = {c: i for i, c in enumerate(candidates)}
+    # the walk yields a leaf's strict supersets before it, so a leaf is
+    # maximal unless it lies inside one kept so far, and the union goes in
+    # walk order, which never depends on hashing
     kept: list[frozenset] = []
-    for leaf in sorted(leaves, key=lambda s: (-len(s), sorted(map(index.get, s)))):
+    for leaf in leaves:
         if not any(leaf <= other for other in kept):
             kept.append(leaf)
     return union(*map(build, kept))
@@ -209,9 +212,8 @@ def star_generalize(w: Sequence[str], g: Cfg) -> StarGeneralization:
     range is tried once, shortest span first, and kept when the language
     still avoids L(g); ranges crossing a kept one are not tried."""
     w = tuple(w)
-    base = _position_automaton(w, ())
-    leaf = next(_walk(_session(g, base), _star_candidates(len(w)), _star_batches(w, base)))
-    return StarGeneralization(w, leaf)
+    session = _session(g, _position_automaton(w, ()))
+    return StarGeneralization(w, next(_walk(session, _star_candidates(len(w)), _star_batches(w, session))))
 
 
 def eps_generalize(w: Sequence[str], g: Cfg) -> Nfa:
@@ -228,22 +230,15 @@ def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) 
     """Union of every valid star generalization of ``w`` against ``L(g)``;
     raises BudgetExceededError once the walk visits more than ``budget`` nodes."""
     w = tuple(w)
-    base = _position_automaton(w, ())
-    candidates = _star_candidates(len(w))
-    leaves = _walk(_session(g, base), candidates, _star_batches(w, base), budget)
-    return _union_of_maxima(leaves, candidates, lambda ranges: _position_automaton(w, ranges))
+    session = _session(g, _position_automaton(w, ()))
+    leaves = _walk(session, _star_candidates(len(w)), _star_batches(w, session), budget)
+    return _union_of_maxima(leaves, lambda ranges: _position_automaton(w, ranges))
 
 
 def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
     """Union of every valid epsilon generalization of ``w`` against ``L(g)``."""
     w = tuple(w)
     base = word_automaton(w)
-    candidates = _eps_candidates(w)
-    leaves = _walk(_session(g, base), candidates, _own_batch, budget)
-
-    def leaf_automaton(batches: frozenset) -> Nfa:
-        # every edge passed the session's checks against the word's chain
-        transitions = base.transitions.union(*batches)
-        return _nfa(base.num_states, base.alphabet, transitions, base.initial, base.accepting)
-
-    return _union_of_maxima(leaves, candidates, leaf_automaton)
+    leaves = _walk(_session(g, base), _eps_candidates(w), _own_batch, budget)
+    # a leaf is a set of one-edge batches, each checked by the session
+    return _union_of_maxima(leaves, lambda batches: _with_batches(base, batches))

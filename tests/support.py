@@ -112,6 +112,17 @@ def dfa_grammar(
     return Cfg(names, alphabet, tuple(prods), "Q0")
 
 
+def saturation_state(sat) -> tuple:
+    """What a revert must restore of a pre* saturator: its journal, ``done``,
+    ``goal_met`` and both row views, without the empty rows that a lookup or
+    a revert leaves behind."""
+
+    def rows(view):
+        return [{x: frozenset(states) for x, states in row.items() if states} for row in view]
+
+    return list(sat.journal), sat.done, sat.goal_met, rows(sat.by_start), rows(sat.by_end)
+
+
 def truncate(a: Nfa, max_len: int) -> Nfa:
     """Restrict an automaton to its words of length at most ``max_len`` by
     product with a line of length counters."""

@@ -128,6 +128,14 @@ def test_render_rejects_a_terminal_the_format_cannot_spell():
             render([g])
 
 
+def test_render_rejects_no_grammars():
+    # a file holds at least one grammar, so the empty text would not parse back
+    with pytest.raises(ParseError, match="no grammars in file"):
+        parse_named("\n")
+    with pytest.raises(ValueError, match="no grammars to render"):
+        render([])
+
+
 def test_render_rejects_names_that_do_not_match_its_grammars():
     g = grammar('grammar G { start S; S -> "a"; }')
     with pytest.raises(ValueError, match="1 names for 2 grammars"):
@@ -225,6 +233,19 @@ def test_python_dash_m_cflsep_runs_the_command_line():
     )
     assert run.returncode == EXIT_OVERLAP, run.stderr
     assert run.stdout.splitlines() == ['VERDICT: OVERLAP witness="a c a"', "iterations=0"]
+
+
+def test_readme_library_example_runs():
+    # the fenced python block under "## Library" in README.md, run from the repo root
+    root = Path(__file__).resolve().parent.parent
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("Separable(")
 
 
 def test_main_missing_file(capsys):

@@ -12,7 +12,9 @@ from cflsep.prestar import PrestarSession, _context, _rules, _Saturator, in_lang
 from cflsep.refinement import gen_language, StarGeneralization
 
 from oracles import accepts, enumerate_accepted, enumerate_words, prestar_triples
-from support import AIBI1, FIXTURES, NAME_CLASH, PALINDROME, grammar, hand_nfa, random_cfg, random_nfa
+from support import (
+    AIBI1, FIXTURES, NAME_CLASH, PALINDROME, grammar, hand_nfa, random_cfg, random_nfa, saturation_state
+)
 
 ABBA = word_automaton(("a", "b", "b", "a"))
 
@@ -314,7 +316,8 @@ def test_each_grammar_fills_one_rule_index_slot():
 @st.composite
 def session_runs(draw):
     """A random grammar, a word outside or inside its language, and a sequence
-    of generalization edges of both shapes, each with a rollback flag."""
+    of generalization edges of both shapes, each with a flag to pop the
+    newest committed batch after trying the edge."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
     word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
     spans = [(i, j) for i in range(len(word) + 1) for j in range(i + 1, len(word) + 1)]
@@ -330,17 +333,26 @@ def session_runs(draw):
 @settings(max_examples=150, deadline=None)
 def test_try_add_agrees_with_a_fresh_intersection(run):
     # whether the lookup or the saturation answers, every answer is the one a
-    # fresh emptiness test gives for the committed edges plus the new one
+    # fresh emptiness test gives for the committed edges plus the new one; a
+    # pop restores exactly the session before the popped batch
     g, word, steps = run
     session = PrestarSession(g, word_automaton(word))
-    for edge, undo in steps:
+    with pytest.raises(IndexError):
+        session.pop()  # nothing committed
+    before = []  # the state and automaton before each committed batch
+    for edge, pop in steps:
         a = session.automaton()
-        token = session.snapshot()
+        state = saturation_state(session._sat)
         expected = not intersects(g, replace(a, transitions=a.transitions | {edge}))
         assert session.try_add([edge]) == expected
-        if undo:  # as the maximal walks do between siblings
-            session.rollback(token)
-            assert session.automaton() == a
+        if expected:
+            before.append((state, a))
+        if pop and before:  # as the maximal walks do between siblings
+            session.pop()
+            assert (saturation_state(session._sat), session.automaton()) == before.pop()
+        elif pop:
+            with pytest.raises(IndexError):
+                session.pop()
     assert _views(session._sat) == (_fresh_context(g, session.automaton()),) * 3
 
 

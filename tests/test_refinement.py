@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import cflsep.refinement as refinement
 from cflsep.grammar import GrammarError
-from cflsep.nfa import Nfa, difference, is_empty, word_automaton
-from cflsep.prestar import PrestarSession, in_language, intersects
+from cflsep.nfa import Nfa, difference, is_empty, union, word_automaton
+from cflsep.prestar import PrestarSession, _with_batches, in_language, intersects
 from cflsep.refinement import (
     BudgetExceededError,
     StarGeneralization,
@@ -28,11 +28,14 @@ from cflsep.refinement import (
 from oracles import accepts, cat, enumerate_accepted, equivalent, lit, regex_to_nfa, star
 from support import (
     AIBI1,
+    FIXTURES,
     dfa_grammar,
     eps_edges_for_ranges,
     grammar,
     hand_nfa,
+    load_fixture,
     random_cfg,
+    saturation_state,
     words_upto,
 )
 
@@ -259,7 +262,7 @@ def test_star_generalize_test_budget(monkeypatch):
 @st.composite
 def star_session_runs(draw):
     """A random grammar, a word of up to 4 letters, and candidate ranges,
-    each with a rollback flag."""
+    each with a flag to pop the newest chosen range after trying it."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
     word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
     spans = refinement._star_candidates(len(word))
@@ -272,33 +275,97 @@ def star_session_runs(draw):
 def test_star_session_agrees_with_a_fresh_intersection(run):
     # every answer of a session over the position automaton, fed the batches
     # of _star_batches, is the one a fresh emptiness test gives for the
-    # starred language, across rollbacks
+    # starred language, and a pop restores exactly the session before the
+    # popped range
     g, word, steps = run
     base = refinement._position_automaton(word, ())
     session = PrestarSession(g, base)
     assert session.intersects() == in_language(g, word)
     if session.intersects():
         return
-    batch = refinement._star_batches(word, base)
+    batch = refinement._star_batches(word, session)
     chosen: list[tuple[int, int]] = []
-    for r, undo in steps:
+    before = []  # the session's state before each chosen range
+    for r, pop in steps:
         if r in chosen:
             continue  # the walk never tries these
         edges = batch(chosen, r)
         assert (edges is None) == any(_crosses(r, a) for a in chosen)
         if edges is None:
             continue
-        token = session.snapshot()
+        state = saturation_state(session._sat)
         expected = not intersects(g, gen_language(StarGeneralization(word, frozenset(chosen) | {r})))
         assert session.try_add(edges) == expected
         if expected:
             chosen.append(r)
+            before.append(state)
         assert session.automaton() == gen_language(StarGeneralization(word, frozenset(chosen)))
-        if undo:  # as the maximal walks do between siblings
-            session.rollback(token)
-            if expected:
-                chosen.pop()
+        if pop and chosen:  # as the maximal walks do between siblings
+            session.pop()
+            chosen.pop()
+            assert saturation_state(session._sat) == before.pop()
             assert session.automaton() == gen_language(StarGeneralization(word, frozenset(chosen)))
+
+
+def test_greedy_generalizers_never_pop(monkeypatch):
+    # a greedy walk takes the first leaf, so it never undoes a choice
+    def refuse(self):
+        raise AssertionError("a greedy walk popped a batch")
+
+    monkeypatch.setattr(PrestarSession, "pop", refuse)
+    tried = 0
+    for path in sorted(FIXTURES.glob("*.cfg")):
+        for g in load_fixture(path.name):
+            for w in words_upto(tuple(g.terminals), 3):
+                if not in_language(g, w):
+                    tried += 1
+                    assert not intersects(g, gen_language(star_generalize(w, g)))
+                    assert not intersects(g, eps_generalize(w, g))
+    assert tried > 100
+
+
+def _walk_leaves(g, w, family):
+    """The leaves of the maximal walk of one family on ``w``, their builder,
+    or None past a small budget."""
+    if family == "star":
+        session = PrestarSession(g, refinement._position_automaton(w, ()))
+        candidates, batch = refinement._star_candidates(len(w)), refinement._star_batches(w, session)
+        build = lambda ranges: refinement._position_automaton(w, ranges)  # noqa: E731
+    else:
+        session = PrestarSession(g, word_automaton(w))
+        candidates, batch = refinement._eps_candidates(w), refinement._own_batch
+        build = lambda batches: _with_batches(session.base, batches)  # noqa: E731
+    try:
+        return list(refinement._walk(session, candidates, batch, budget=3000)), build
+    except BudgetExceededError:
+        return None
+
+
+def test_union_of_maxima_keeps_the_maximal_leaves_in_walk_order():
+    # the include-first walk yields every strict superset of a leaf before
+    # the leaf, so keeping a leaf unless a kept one holds it keeps exactly
+    # the subset-maximal leaves, unioned in walk order
+    rng = random.Random(5)
+    walks = 0
+    while walks < 60:
+        g = random_cfg(rng)
+        w = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
+        if in_language(g, w):
+            continue
+        for family in ("star", "eps"):
+            found = _walk_leaves(g, w, family)
+            if found is None:
+                continue
+            walks += 1
+            leaves, build = found
+            assert len(set(leaves)) == len(leaves)
+            for i, leaf in enumerate(leaves):
+                assert not any(leaf < later for later in leaves[i + 1:])
+            maxima = [leaf for leaf in leaves if not any(leaf < other for other in leaves)]
+            built = []
+            got = refinement._union_of_maxima(iter(leaves), lambda leaf: built.append(leaf) or build(leaf))
+            assert built == maxima
+            assert got == union(*map(build, maxima))
 
 
 # --- eps_generalize -----------------------------------------------------------
