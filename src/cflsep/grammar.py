@@ -112,29 +112,22 @@ def fresh_name(base: str, used: set[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Normal form: every production is A -> BC | a | B | <empty>
+# Normal form: every production is A -> XY | X | <empty>, X and Y any symbols
 # ---------------------------------------------------------------------------
 
 
 def is_normal_form(g: Cfg) -> bool:
-    for p in g.productions:
-        n = len(p.rhs)
-        if n <= 1:
-            continue
-        if n == 2 and not p.rhs[0].terminal and not p.rhs[1].terminal:
-            continue
-        return False
-    return True
+    return all(len(p.rhs) <= 2 for p in g.productions)
 
 
 def normalize(g: Cfg) -> Cfg:
-    """Rewrite ``g`` so every production is A -> BC, A -> a, A -> B or A -> ε.
+    """Rewrite ``g`` so every production is A -> XY, A -> X or A -> ε, where
+    X and Y are terminals or nonterminals (Lange & Leiß 2009).
 
-    The language is preserved and the grammar grows at most linearly: each
-    terminal occurring in a long right-hand side gets one wrapper
-    nonterminal, and right-hand sides longer than two are chained through
-    fresh binarization nonterminals. Already-normal grammars are returned
-    unchanged.
+    The language is preserved and the grammar grows linearly: a right-hand
+    side longer than two is chained through one fresh nonterminal per symbol
+    beyond its second, and its terminals stay as they are. Already-normal
+    grammars are returned unchanged.
     """
     if is_normal_form(g):
         return g
@@ -142,25 +135,8 @@ def normalize(g: Cfg) -> Cfg:
     used = set(g.variables) | set(g.terminals)
     new_vars = list(g.variables)
     new_prods: list[Production] = []
-    wrapper: dict[str, str] = {}  # terminal -> wrapper nonterminal
-
-    def wrap_terminal(sym: Symbol) -> Symbol:
-        if sym.name not in wrapper:
-            name = fresh_name(sym.name, used)
-            wrapper[sym.name] = name
-            new_vars.append(name)
-            new_prods.append(Production(name, (sym,)))
-        return nt(wrapper[sym.name])
-
     for prod in g.productions:
-        rhs = prod.rhs
-        if len(rhs) <= 1 or (
-            len(rhs) == 2 and not rhs[0].terminal and not rhs[1].terminal
-        ):
-            new_prods.append(prod)
-            continue
-        body = tuple(wrap_terminal(s) if s.terminal else s for s in rhs)
-        lhs = prod.lhs
+        lhs, body = prod.lhs, prod.rhs
         while len(body) > 2:
             helper = fresh_name(prod.lhs, used)
             new_vars.append(helper)

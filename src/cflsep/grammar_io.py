@@ -190,7 +190,7 @@ def _derivable(productions: tuple[Production, ...]) -> tuple[Production, ...]:
 
 def _spellings(g: Cfg) -> dict[str, str]:
     """Each nonterminal's name in a file: its own if it is an identifier, else
-    a fresh ``N_k`` (``normalize`` names the wrapper of ``"+"`` ``+_1``)."""
+    a fresh ``N_k`` (a ``Cfg`` value may name one ``+_1``)."""
     used = set(g.variables)
     return {v: v if re.fullmatch(_IDENT, v) else fresh_name("N", used) for v in g.variables}
 

@@ -1,16 +1,16 @@
 """Saturation-based emptiness of L(G) ∩ L(A), and with it membership.
 
 A set of triples (state, symbol, state) is closed under the production
-rules of a grammar in normal form (A -> BC | a | B | ε): a triple
-(q, X, q') means some word taking the automaton from q to q' is derivable
-from X. Epsilon edges of the automaton are triples too and compose with
-every other triple, so generalization edges added later need no
-re-elimination. The intersection is nonempty exactly when the start symbol
-spans an initial-to-accepting pair. Membership of a word is the same
-question on the word's chain automaton. Labels and nonterminal names share
-one namespace, so an automaton edge enters only when labelled ε or by a
-terminal of the grammar: a foreign terminal derives nothing, even one
-spelled like a nonterminal.
+rules of a grammar in normal form (A -> XY | X | ε, with X and Y any
+symbols): a triple (q, X, q') means some word taking the automaton from q
+to q' is derivable from X. Epsilon edges of the automaton are triples too
+and compose with every other triple, so generalization edges added later
+need no re-elimination. The intersection is nonempty exactly when the
+start symbol spans an initial-to-accepting pair. Membership of a word is
+the same question on the word's chain automaton. Labels and nonterminal
+names share one namespace, so an automaton edge enters only when labelled ε
+or by a terminal of the grammar: a foreign terminal derives nothing, even
+one spelled like a nonterminal.
 
 Each triple is held once in each of three views: r in the set
 ``by_start[q][X]``, q in ``by_end[r][X]``, and the ``journal`` in derivation
@@ -36,7 +36,7 @@ from collections import defaultdict
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .grammar import Cfg, GrammarError, Production, fresh_name, is_normal_form, normalize, nt
+from .grammar import Cfg, GrammarError, Production, fresh_name, is_normal_form, normalize, nt, t
 from .nfa import Nfa, _nfa, eliminate_epsilon, word_automaton
 
 
@@ -65,20 +65,21 @@ def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], tuple[str, ...], dict[str, tupl
 @lru_cache(maxsize=16)  # slots of its own: a session's grammar fills one of _rules as well
 def _context(g: Cfg) -> tuple[Cfg, dict[str, tuple[list, list, list]], dict[str | None, str]]:
     """``normalize(g)`` augmented for context triples, its rule index, and the
-    hat X^ of each symbol X, with the hole H as ε^: B^ -> C A^ and C^ -> A^ B
-    for each A -> BC, B^ -> A^ for each A -> B or A -> b, H -> X X^ for each
-    nonterminal X, and H -> S^ S."""
+    hat X^ of each symbol X, with the hole H as ε^: X^ -> Y A^ and Y^ -> A^ X
+    for each A -> XY, X^ -> A^ for each A -> X, H -> X X^ for each symbol X,
+    and H -> S^ S."""
     gn = _rules(g)[0]
     used = set(gn.variables) | set(gn.terminals)
     hat: dict[str | None, str] = {x: fresh_name(f"{x}^", used) for x in gn.variables + gn.terminals}
     hat[None] = hole = fresh_name("hole", used)
     prods = list(gn.productions) + [Production(hole, (nt(hat[gn.start]), nt(gn.start)))]
     prods += [Production(hole, (nt(x), nt(hat[x]))) for x in gn.variables]
+    prods += [Production(hole, (t(x), nt(hat[x]))) for x in gn.terminals]
     for p in gn.productions:
         up = nt(hat[p.lhs])
         if len(p.rhs) == 2:
-            b, c = p.rhs
-            prods += [Production(hat[b.name], (c, up)), Production(hat[c.name], (up, b))]
+            x, y = p.rhs
+            prods += [Production(hat[x.name], (y, up)), Production(hat[y.name], (up, x))]
         elif p.rhs:
             prods.append(Production(hat[p.rhs[0].name], (up,)))
     aug = Cfg(gn.variables + tuple(hat.values()), gn.terminals, tuple(prods), gn.start)
@@ -201,10 +202,11 @@ class _Saturator:
 def prestar(g: Cfg, a: Nfa) -> Nfa:
     """Saturated automaton recognizing the derivation predecessors of L(a).
 
-    ``g`` must already be in normal form; states and transitions of ``a``
-    are preserved, and the result's alphabet is extended with the grammar's
-    nonterminals (a nonterminal-labeled transition (q, A, q') records that A
-    derives some word read between q and q').
+    ``g`` must already be in normal form, A -> XY | X | ε for any symbols X
+    and Y; states and transitions of ``a`` are preserved, and the result's
+    alphabet is extended with the grammar's nonterminals (a
+    nonterminal-labeled transition (q, A, q') records that A derives some
+    word read between q and q').
     """
     if not is_normal_form(g):
         raise GrammarError("prestar requires a grammar in normal form")

@@ -400,6 +400,12 @@ def enumerate_words(g: Cfg, max_len: int) -> frozenset[tuple[str, ...]]:
         raise GrammarError("max_len must be nonnegative")
     gn = normalize(g)
     words: dict[str, set[tuple[str, ...]]] = {v: set() for v in gn.variables}
+    # a terminal derives its one-letter word, in a unit or a binary rule
+    letters = {x: {(x,)} if max_len >= 1 else set() for x in gn.terminals}
+
+    def derived(sym):
+        return (letters if sym.terminal else words)[sym.name]
+
     changed = True
     while changed:
         changed = False
@@ -409,15 +415,12 @@ def enumerate_words(g: Cfg, max_len: int) -> frozenset[tuple[str, ...]]:
             rhs = p.rhs
             if len(rhs) == 0:
                 target.add(())
-            elif len(rhs) == 1 and rhs[0].terminal:
-                if max_len >= 1:
-                    target.add((rhs[0].name,))
             elif len(rhs) == 1:
-                target |= words[rhs[0].name]
+                target |= derived(rhs[0])
             else:
                 # snapshot: rhs sets may alias the target (e.g. S -> S S)
-                left = tuple(words[rhs[0].name])
-                right = tuple(words[rhs[1].name])
+                left = tuple(derived(rhs[0]))
+                right = tuple(derived(rhs[1]))
                 for u in left:
                     budget = max_len - len(u)
                     for v in right:

@@ -75,11 +75,23 @@ def test_normalize_three_symbol_rhs():
 
 
 def test_normalize_grows_linearly():
-    g = PALINDROME
-    gn = normalize(g)
-    size = sum(len(p.rhs) + 1 for p in g.productions)
-    size_n = sum(len(p.rhs) + 1 for p in gn.productions)
-    assert size_n <= 3 * size + len(g.terminals) * 2
+    # one helper per symbol beyond the second in each long right-hand side,
+    # and no other variable: terminals get no wrappers
+    rng = random.Random(78)
+    for g in [PALINDROME, ANCBN] + [random_cfg(rng) for _ in range(40)]:
+        gn = normalize(g)
+        helpers = sum(max(len(p.rhs) - 2, 0) for p in g.productions)
+        assert gn.variables[: len(g.variables)] == g.variables
+        assert len(gn.variables) == len(g.variables) + helpers
+        assert len(gn.productions) == len(g.productions) + helpers
+        assert gn.terminals == g.terminals
+
+
+def test_binary_rules_read_terminals():
+    g = grammar('grammar G { start S; S -> "a" S | "a" "b" | "c" | ; }')
+    assert is_normal_form(g)
+    assert normalize(g) is g
+    assert not is_normal_form(grammar('grammar G { start S; S -> S S S; }'))
 
 
 # --- sccs -------------------------------------------------------------------

@@ -256,6 +256,19 @@ def test_caught_rejection_touches_nothing(monkeypatch):
     assert (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end)) == before
 
 
+def test_hole_between_two_terminals_of_one_rule_is_caught_by_the_lookup(monkeypatch):
+    # S -> "a" "b" reads both terminals in one binary rule, so only the hole
+    # rule H -> b b^ of the terminal b puts the hole between them
+    session = PrestarSession(grammar('grammar G { start S; S -> "a" "b"; }'), word_automaton(("a", "c", "b")))
+    sat = session._sat
+    before = (list(sat.journal), sat.done, sat.steps)
+    at_revert = _spy_on_revert(monkeypatch, sat)
+    assert not session.try_add([(1, None, 2)])
+    assert at_revert == []
+    assert (list(sat.journal), sat.done, sat.steps) == before
+    assert session.edges == []
+
+
 @st.composite
 def grammar_automaton_pairs(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
