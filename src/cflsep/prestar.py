@@ -22,12 +22,14 @@ form and rule indexes are built once per ``Cfg`` value and shared read-only.
 
 A PrestarSession saturates a base automaton once and takes batches of edges
 between its states, each labelled ε or by a symbol of its alphabet. It also
-derives context triples, seeded with (accepting, S^, initial): (r, X^, q)
-means some u leads from the initial state to q, some v from r to an
-accepting state, and S =>* u X v, with ε^ the hole. So (r, x^, q) rejects
-the edge (q, x, r), and any batch of edges holding it, by one lookup; other
-batches are saturated up to the goal and kept, on a stack that ``pop``
-unwinds, or truncated back whole. Sessions are single-owner mutable values.
+derives context triples, a hat for each nonterminal, seeded with (accepting,
+S^, initial): (r, A^, q) means some u leads from the initial state to q,
+some v from r to an accepting state, and S =>* u A v. The hole and terminal
+contexts are looked up: a few joins of held triples say whether a word of
+L(g) is read along the edge (q, x, r), and reject it, and any batch of edges
+holding it; other batches are saturated up to the goal and kept, on a stack
+that ``pop`` unwinds, or truncated back whole. Sessions are single-owner
+mutable values.
 """
 
 from __future__ import annotations
@@ -36,8 +38,11 @@ from collections import defaultdict
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .grammar import Cfg, GrammarError, Production, fresh_name, is_normal_form, normalize, nt, t
+from .grammar import Cfg, GrammarError, Production, fresh_name, is_normal_form, normalize, nt
 from .nfa import Nfa, _nfa, eliminate_epsilon, word_automaton
+
+_EMPTY: frozenset[int] = frozenset()
+_NONE: tuple = ((), (), ())  # the rule index entry of a symbol that no rule reads
 
 
 def _index(productions: Iterable[Production]) -> dict[str, tuple[list, list, list]]:
@@ -63,27 +68,49 @@ def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], tuple[str, ...], dict[str, tupl
 
 
 @lru_cache(maxsize=16)  # slots of its own: a session's grammar fills one of _rules as well
-def _context(g: Cfg) -> tuple[Cfg, dict[str, tuple[list, list, list]], dict[str | None, str]]:
-    """``normalize(g)`` augmented for context triples, its rule index, and the
-    hat X^ of each symbol X, with the hole H as ε^: X^ -> Y A^ and Y^ -> A^ X
-    for each A -> XY, X^ -> A^ for each A -> X, H -> X X^ for each symbol X,
-    and H -> S^ S."""
+def _context(g: Cfg) -> tuple[Cfg, dict[str, tuple[list, list, list]], dict[str, str], dict[str, tuple]]:
+    """``normalize(g)`` augmented for context triples, its rule index, the
+    hat A^ of each nonterminal A, and ``parents``: the rule index of
+    ``normalize(g)`` with each head A read as A^. The augmentation adds
+    X^ -> Y A^ and Y^ -> A^ X for each A -> XY, and X^ -> A^ for each A -> X,
+    each only where the hatted symbol is a nonterminal.
+
+    The hole and terminal contexts get no hat, since no rule reads them:
+    ``PrestarSession._used`` joins held triples instead. An edge (q, x, r)
+    with x a terminal is read in a word u x v of L(g), u leading from the
+    initial state to q and v from r to an accepting state, exactly when the
+    leaf x has a parent A with (r, A^, q) for A -> x, (r, Y, s) and (s, A^, q)
+    for A -> x Y, or (r, A^, s) and (s, Y, q) for A -> Y x. An ε edge
+    (q, ε, r) is passed in a word u v of L(g) exactly when v has no letter
+    and (r, S^, p) and (p, S, q) hold; when u has none and (r, S, s) and
+    (s, S^, q) hold; or when the lowest node A -> X Y whose yield has letters
+    of both u and v splits them between its children, X deriving the end of
+    u and Y the start of v, and (p, X, q), (r, Y, s) and (s, A^, p) hold.
+    Triples are ε-closed at both ends, so these joins see exactly the
+    terminal hats' and the hole's triples that a saturation of their rules
+    would derive. A lookup only saves work: one that misses falls through to
+    the saturation.
+    """
     gn = _rules(g)[0]
     used = set(gn.variables) | set(gn.terminals)
-    hat: dict[str | None, str] = {x: fresh_name(f"{x}^", used) for x in gn.variables + gn.terminals}
-    hat[None] = hole = fresh_name("hole", used)
-    prods = list(gn.productions) + [Production(hole, (nt(hat[gn.start]), nt(gn.start)))]
-    prods += [Production(hole, (nt(x), nt(hat[x]))) for x in gn.variables]
-    prods += [Production(hole, (t(x), nt(hat[x]))) for x in gn.terminals]
+    hat = {x: fresh_name(f"{x}^", used) for x in gn.variables}
+    prods = list(gn.productions)
     for p in gn.productions:
         up = nt(hat[p.lhs])
         if len(p.rhs) == 2:
             x, y = p.rhs
-            prods += [Production(hat[x.name], (y, up)), Production(hat[y.name], (up, x))]
-        elif p.rhs:
+            if not x.terminal:
+                prods.append(Production(hat[x.name], (y, up)))
+            if not y.terminal:
+                prods.append(Production(hat[y.name], (up, x)))
+        elif p.rhs and not p.rhs[0].terminal:
             prods.append(Production(hat[p.rhs[0].name], (up,)))
-    aug = Cfg(gn.variables + tuple(hat.values()), gn.terminals, tuple(prods), gn.start)
-    return aug, _index(aug.productions), hat  # in normal form by construction
+    aug = Cfg(gn.variables + tuple(hat.values()), gn.terminals, tuple(prods), gn.start)  # normal form by construction
+    parents = {
+        x: ([hat[a] for a in units], [(y, hat[a]) for a, y in lefts], [(hat[a], y) for a, y in rights])
+        for x, (units, lefts, rights) in _rules(g)[3].items()
+    }
+    return aug, _index(aug.productions), hat, parents
 
 
 class _Saturator:
@@ -114,7 +141,7 @@ class _Saturator:
         for q, x, r in sorted(a.transitions, key=lambda tr: (tr[0], tr[1] or "", tr[2])):
             self.add_edge(q, x, r)
         if context:  # seeded as a triple, not as an edge: no label can play it
-            _, self.rules, self.hat = _context(g)
+            _, self.rules, self.hat, self.parents = _context(g)
             for f in sorted(a.accepting):
                 self.add(f, self.hat[self.start], a.initial)
 
@@ -150,7 +177,7 @@ class _Saturator:
         """Process the worklist up to the fixpoint or, if ``stop_at_goal``, until
         the goal is met; returns ``goal_met``."""
         by_start, by_end, journal, i = self.by_start, self.by_end, self.journal, self.done
-        of, none, add, ends, starts = self.rules, ((), (), ()), self.add, self._ends, self._starts
+        of, none, add, ends, starts = self.rules, _NONE, self.add, self._ends, self._starts
         while i < len(journal) and not (stop_at_goal and self.goal_met):
             q, sym, r = journal[i]
             i += 1
@@ -234,12 +261,14 @@ class PrestarSession:
 
     The session saturates its ``base`` automaton once and then takes batches
     of edges through ``try_add``, all or nothing; each edge must join two of
-    the base's states and be labelled ε or by a symbol of its alphabet. A
-    batch with an edge that a context triple puts in a word of L(g) is
-    rejected by one lookup per edge; any other is added whole and committed
-    only if the start symbol still spans no initial-to-accepting pair, and is
-    otherwise truncated back exactly with its triples, as ``pop`` truncates
-    the newest committed one. Every call ends at a fixpoint, so the journal's
+    the base's states and be labelled ε or by a symbol of its alphabet. The
+    session also holds context triples, a hat for each nonterminal; the hole
+    and terminal contexts are looked up by joining them (``_used``). A batch
+    with an edge that the lookup puts in a word of L(g) is rejected without
+    a saturation; any other is added whole and committed only if the start
+    symbol still spans no initial-to-accepting pair, and is otherwise
+    truncated back exactly with its triples, as ``pop`` truncates the
+    newest committed one. Every call ends at a fixpoint, so the journal's
     length is always a valid revert point. A session over a word is one over
     its chain automaton, ``PrestarSession(g, word_automaton(w))``.
     """
@@ -271,10 +300,10 @@ class PrestarSession:
         batch = tuple(batch)
         for edge in batch:
             self._validate(edge)
+        for edge in batch:
+            if self._used(*edge):
+                return False
         sat = self._sat
-        for src, label, dst in batch:
-            if (label is None or label in sat.terminals) and src in sat.by_start[dst].get(sat.hat[label], ()):
-                return False  # a context triple (dst, label^, src): a word of L(g) uses the edge
         mark = len(sat.journal)
         for edge in batch:
             sat.add_edge(*edge)
@@ -284,6 +313,38 @@ class PrestarSession:
         self.edges.append(batch)
         self._marks.append(mark)
         return True
+
+    def _used(self, q: int, x: str | None, r: int) -> bool:
+        """Whether the held triples put the edge (q, x, r) in a word of L(g),
+        read along a run that takes it once: the joins of ``_context``."""
+        sat = self._sat
+        by_start, parents = sat.by_start, sat.parents
+        row, col = by_start[r], sat.by_end[q]
+        if x is not None:
+            if x not in sat.terminals:
+                return False
+            units, lefts, rights = parents.get(x, _NONE)
+            for up in units:  # A -> x
+                if q in row.get(up, ()):
+                    return True
+            for y, up in lefts:  # A -> x Y
+                if not row.get(y, _EMPTY).isdisjoint(col.get(up, ())):
+                    return True
+            for up, y in rights:  # A -> Y x
+                if not row.get(up, _EMPTY).isdisjoint(col.get(y, ())):
+                    return True
+            return False
+        start, start_hat = sat.start, sat.hat[sat.start]
+        if not row.get(start_hat, _EMPTY).isdisjoint(col.get(start, ())):
+            return True  # nothing is read after the edge
+        if not row.get(start, _EMPTY).isdisjoint(col.get(start_hat, ())):
+            return True  # nothing is read before it
+        for sym, ps in col.items():  # A -> X Y, X read up to q and Y from r
+            for y, up in parents.get(sym, _NONE)[1]:
+                for s in row.get(y, ()):
+                    if not ps.isdisjoint(by_start[s].get(up, ())):
+                        return True
+        return False
 
     def pop(self) -> None:
         """Undo the newest committed batch and its triples; IndexError if none."""

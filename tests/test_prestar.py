@@ -151,7 +151,7 @@ def test_session_revert_is_exact():
 
 def _fresh_context(g, a):
     """A fresh saturation of g's augmented grammar over ``a``, with the session's seed."""
-    aug, _, hat = _context(g)
+    aug, _, hat, _ = _context(g)
     sat = _Saturator(aug, a)
     for f in a.accepting:
         sat.add(f, hat[aug.start], a.initial)
@@ -218,7 +218,7 @@ def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch
     at_revert = _spy_on_revert(monkeypatch, sat)
     # "ababab" needs the edge twice, so no context triple catches it: the
     # lookup misses and the saturation rejects
-    assert 1 not in sat.by_start[0].get(sat.hat["b"], ())
+    assert not session._used(1, "b", 0)
     assert not session.try_add([(1, "b", 0)])
     (done, derived), = at_revert
     assert done < derived  # the goal was met with worklist entries left
@@ -243,22 +243,23 @@ def test_caught_rejection_touches_nothing(monkeypatch):
     sat = session._sat
     before = (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end))
     at_revert = _spy_on_revert(monkeypatch, sat)
-    # (2, b^, 2): "a" leads to 2 and "b" from 2 to the end, and S =>* a b b
-    assert 2 in sat.by_start[2][sat.hat["b"]]
+    # "a" leads to 2 and "b" from 2 to the end, and S =>* a b b
+    assert session._used(2, "b", 2)
     assert not session.try_add([(2, "b", 2)])
     assert at_revert == []
     assert (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end)) == before
     assert not sat.goal_met and ((2, "b", 2),) not in session.edges
-    # the same for an epsilon edge, caught by the hole: "b" is in L
-    assert 1 in sat.by_start[2][sat.hat[None]]
+    # the same for an epsilon edge, caught by the lookup: "b" is in L
+    assert session._used(1, None, 2)
     assert not session.try_add([(1, None, 2)])
     assert at_revert == []
     assert (list(sat.journal), sat.done, sat.steps, _rows(sat.by_start), _rows(sat.by_end)) == before
 
 
 def test_hole_between_two_terminals_of_one_rule_is_caught_by_the_lookup(monkeypatch):
-    # S -> "a" "b" reads both terminals in one binary rule, so only the hole
-    # rule H -> b b^ of the terminal b puts the hole between them
+    # S -> "a" "b" reads both terminals in one binary rule, so the hole lies
+    # between the two children of S: the lookup's gap check of S -> a b
+    # catches it, with (0, a, 1), (2, b, 3) and (3, S^, 0)
     session = PrestarSession(grammar('grammar G { start S; S -> "a" "b"; }'), word_automaton(("a", "c", "b")))
     sat = session._sat
     before = (list(sat.journal), sat.done, sat.steps)
@@ -291,7 +292,7 @@ def test_context_grammar_is_indexed_as_its_normal_form():
     rng = random.Random(606)
     grammars = [g for path in sorted(FIXTURES.glob("*.cfg")) for g in parse_file(path.read_text())]
     for g in grammars + [random_cfg(rng) for _ in range(60)]:
-        aug, of, _ = _context(g)
+        aug, of, _, _ = _context(g)
         assert normalize(aug) == aug
         assert of == _rules.__wrapped__(aug)[3]
 
@@ -370,12 +371,13 @@ def test_try_add_agrees_with_a_fresh_intersection(run):
 
 
 def test_chain_labels_spelled_like_grammar_names_stay_foreign():
-    # Ab's nonterminal T and the hat and hole names of its augmentation label
-    # chain edges here; they are not Ab's terminals, so a backward edge on them
-    # adds nothing and is accepted, as it was before context triples
+    # Ab's nonterminal T, the hat of T in its augmentation, and the names that
+    # the hat of "a" and the hole once had label chain edges here; they are
+    # not Ab's terminals, so a backward edge on them adds nothing and is
+    # accepted, as it was before context triples
     _, ab = parse_file(NAME_CLASH)
-    _, _, hat = _context(ab)
-    for label in ("T", hat["T"], hat["a"], hat[None]):
+    _, _, hat, _ = _context(ab)
+    for label in ("T", hat["T"], "a^_1", "hole_1"):
         session = PrestarSession(ab, word_automaton(("a", label)))
         assert session.try_add([(0, None, 2)])  # ε is not in L(Ab)
         # (0, T^, 1): "a" leads to 1, ε from 0 to the end, and T =>* a T;
@@ -384,6 +386,40 @@ def test_chain_labels_spelled_like_grammar_names_stay_foreign():
         assert session.try_add([(1, label, 0)])
         assert session.try_add([(1, label, 1)])
         assert not session.intersects()
+
+
+def _through(a, q, x, r):
+    """The automaton that runs ``a`` from its initial state to q, reads x (ε
+    for None) to r and runs ``a`` on from r to an accepting state: two copies
+    of ``a`` joined by that one edge."""
+    n = a.num_states
+    transitions = a.transitions | {(p + n, y, s + n) for p, y, s in a.transitions} | {(q, x, r + n)}
+    return Nfa(2 * n, a.alphabet, frozenset(transitions), a.initial, frozenset(f + n for f in a.accepting))
+
+
+def test_lookup_agrees_with_a_run_through_the_edge():
+    # the lookup answers, for every edge labelled ε or by a terminal, whether
+    # L(g) meets the runs through it, before and after accepted batches; the
+    # oracle is the naive fixpoint over _through, which shares no code with
+    # the session
+    rng = random.Random(2121)
+    for _ in range(25):
+        g, a = random_cfg(rng), random_nfa(rng, max_states=3)
+        gn = normalize(g)
+        session = PrestarSession(g, a)
+        for _ in range(3):
+            current = session.automaton()
+            for q in current.states:
+                for r in current.states:
+                    for x in gn.terminals + (None,):
+                        through = _through(current, q, x, r)
+                        triples = prestar_triples(gn, through)
+                        expected = any((through.initial, gn.start, f) in triples for f in through.accepting)
+                        assert session._used(q, x, r) == expected, (g, current, (q, x, r))
+            for _ in range(5):  # a few tries for an edge that keeps L(g) out
+                q, r = rng.randrange(a.num_states), rng.randrange(a.num_states)
+                if session.try_add([(q, rng.choice((None,) + a.alphabet), r)]):
+                    break
 
 
 def test_try_add_rejects_foreign_endpoints_and_labels():
@@ -404,8 +440,8 @@ def test_batches_over_a_base_automaton_are_all_or_nothing():
     assert session.edges == [] and session.automaton() == base
     assert (list(sat.journal), _rows(sat.by_start), _rows(sat.by_end)) == before
     assert session.try_add([(0, None, 1)])
-    # now a context triple (2, H, 1) catches the other edge, whatever else the batch holds
-    assert 1 in sat.by_start[2][sat.hat[None]]
+    # now the lookup catches the other edge, whatever else the batch holds
+    assert session._used(1, None, 2)
     assert not session.try_add([(3, "b", 3), (1, None, 2)])
     assert session.edges == [((0, None, 1),)]
     # a backward epsilon edge is no epsilon-generalization shape; the session
