@@ -4,8 +4,11 @@ Each grammar gets a regular over-approximation; while the joint
 intersection of the approximations is nonempty, its shortest witness is
 classified against the actual languages. A witness in every language proves
 overlap; otherwise every approximation whose language excludes the witness
-is tightened by subtracting a generalization of it. Deterministic given the
-configuration: witness choice and candidate orders are all fixed.
+is tightened by subtracting that grammar's generalization of it. Within a
+round, equal (approximation, generalization) pairs are subtracted once and
+share the result: ``difference`` returns the canonical minimal DFA, a pure
+function of its two values. Deterministic given the configuration: witness
+choice and candidate orders are all fixed.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ class Config:
 
 @dataclass(frozen=True)
 class Separable:
-    """The approximations form a separating family: joint product is empty."""
+    """The approximations form a separating family: joint product is empty.
+    Grammars whose approximations are equal may hold one shared value."""
 
     approximations: tuple[Nfa, ...]
     iterations: int
@@ -103,13 +107,19 @@ def check_disjoint(
     value becomes the reason of an Unknown verdict (the CLI uses this for
     its wall-clock timeout). ``observer`` sees the approximations at the
     start of every round, for artifact dumping.
+
+    Each round subtracts every distinct (approximation, generalization)
+    pair once, and the grammars with that pair take the one result; under
+    sigma-star all grammars start from one shared value. So the tuples that
+    ``observer`` and ``Separable`` hold may give several grammars the same
+    value. Values are immutable, so sharing them changes no output.
     """
     if len(grammars) < 2:
         raise GrammarError("need at least two grammars")
     alphabet = list(dict.fromkeys(sym for g in grammars for sym in g.terminals))
 
     if cfg.abstraction == "sigma-star":
-        approxs = [sigma_star(tuple(alphabet)) for _ in grammars]
+        approxs = [sigma_star(tuple(alphabet))] * len(grammars)
     else:
         approxs = [nederhof(g) for g in grammars]
 
@@ -129,11 +139,14 @@ def check_disjoint(
             return Overlap(witness, refinements)
         if refinements >= cfg.max_refinements:
             return Unknown("iterations", refinements)
+        subtracted: dict[tuple[Nfa, Nfa], Nfa] = {}
         try:
             for i, inside in enumerate(membership):
                 if not inside:
-                    gen = _generalize(grammars[i], witness, cfg)
-                    approxs[i] = difference(approxs[i], gen)
+                    key = (approxs[i], _generalize(grammars[i], witness, cfg))
+                    if key not in subtracted:
+                        subtracted[key] = difference(*key)
+                    approxs[i] = subtracted[key]
         except BudgetExceededError:
             return Unknown("budget", refinements)
         refinements += 1

@@ -59,7 +59,7 @@ def _index(productions: Iterable[Production]) -> dict[str, tuple[list, list, lis
     return of
 
 
-@lru_cache(maxsize=16)  # one slot per grammar a query decides: up to 10 in the benchmark
+@lru_cache(maxsize=16)  # past 16 grammars in one query, each entry is evicted before its next use
 def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], tuple[str, ...], dict[str, tuple[list, list, list]]]:
     """``normalize(g)``, its terminals, its ε-rule heads and its rule index,
     built once per grammar value."""
@@ -67,7 +67,7 @@ def _rules(g: Cfg) -> tuple[Cfg, frozenset[str], tuple[str, ...], dict[str, tupl
     return gn, frozenset(gn.terminals), tuple(p.lhs for p in gn.productions if not p.rhs), _index(gn.productions)
 
 
-@lru_cache(maxsize=16)  # slots of its own: a session's grammar fills one of _rules as well
+@lru_cache(maxsize=16)  # slots of its own, evicted alike past 16 grammars: a session fills one of _rules as well
 def _context(g: Cfg) -> tuple[Cfg, dict[str, tuple[list, list, list]], dict[str, str], dict[str, tuple]]:
     """``normalize(g)`` augmented for context triples, its rule index, the
     hat A^ of each nonterminal A, and ``parents``: the rule index of

@@ -16,7 +16,7 @@ from cflsep.engine import (
     classify_witness,
 )
 from cflsep.grammar import GrammarError
-from cflsep.nfa import difference, is_empty, minimize
+from cflsep.nfa import difference, is_empty, minimize, to_dot
 from cflsep.prestar import PrestarSession, in_language
 from cflsep.refinement import max_star_generalize
 
@@ -140,6 +140,71 @@ def test_observer_sees_monotone_tightening():
         assert accepts(history[-1][0], w)
     for w in sorted(enumerate_words(g2, 6)):
         assert accepts(history[-1][1], w)
+
+
+def _separate_subtractions(grammars, cfg):
+    """The loop of ``check_disjoint`` under sigma-star with one subtraction
+    per excluding grammar: every round's approximations, the (approximation,
+    generalization) key of each grammar that excluded the round's witness,
+    and the verdict's type and iteration count."""
+    alphabet = list(dict.fromkeys(sym for g in grammars for sym in g.terminals))
+    approxs = [engine.sigma_star(tuple(alphabet)) for _ in grammars]
+    history, keys = [], []
+    while True:
+        history.append(tuple(approxs))
+        witness = _joint_witness(approxs, alphabet)
+        if witness is None:
+            return history, keys, Separable, len(keys)
+        membership = classify_witness(witness, grammars)
+        if all(membership):
+            return history, keys, Overlap, len(keys)
+        if len(keys) >= cfg.max_refinements:
+            return history, keys, Unknown, len(keys)
+        keys.append({})
+        for i, inside in enumerate(membership):
+            if not inside:
+                gen = engine._generalize(grammars[i], witness, cfg)
+                keys[-1][i] = (approxs[i], gen)
+                approxs[i] = difference(approxs[i], gen)
+
+
+@pytest.mark.parametrize("strategy", ["greedy-star", "greedy-eps"])
+def test_equal_subtractions_are_made_once_per_round(monkeypatch, strategy):
+    # sharedmem's grammars start from one sigma-star and keep meeting equal
+    # (approximation, generalization) pairs: 39 repeat within a round, and in
+    # 55 rounds an equal generalization meets a different approximation
+    grammars = load_fixture("sharedmem.cfg")
+    cfg = Config("sigma-star", strategy, 100)
+    expected, keys, kind, iterations = _separate_subtractions(grammars, cfg)
+    assert sum(len(round_keys) - len(set(round_keys.values())) for round_keys in keys) == 39
+    assert sum(
+        len({gen for _, gen in round_keys.values()}) < len(set(round_keys.values()))
+        for round_keys in keys
+    ) == 55
+    history, rounds = [], []
+    subtract = engine.difference
+
+    def recorded(a, b):
+        rounds[-1].append((a, b))
+        return subtract(a, b)
+
+    def observe(iteration, approxs):
+        history.append(approxs)
+        rounds.append([])
+
+    monkeypatch.setattr(engine, "difference", recorded)
+    verdict = check_disjoint(grammars, cfg, observer=observe)
+    assert (type(verdict), verdict.iterations) == (kind, iterations)
+    assert sum(map(len, rounds)) == 181  # 220 with one subtraction per grammar
+    assert all(len(set(made)) == len(made) for made in rounds)
+    assert len(history) == len(expected)
+    for approxs, separate in zip(history, expected):
+        assert [to_dot(a) for a in approxs] == [to_dot(a) for a in separate]
+    assert all(a is history[0][0] for a in history[0])
+    for approxs, round_keys in zip(history[1:], keys):
+        for i, key in round_keys.items():
+            for j, other in round_keys.items():
+                assert (approxs[i] is approxs[j]) == (key == other)
 
 
 def test_refined_approximations_reject_their_witnesses(monkeypatch):

@@ -17,6 +17,7 @@ from cflsep.grammar_io import parse_file
 from cflsep.nfa import (
     Nfa,
     _dfa,
+    _from_rows,
     _merge_alphabets,
     _product,
     complement,
@@ -701,6 +702,28 @@ def test_difference_returns_the_minimal_dfa():
         d = difference(a, b)
         assert d == minimize(_product(a, complement(b, alphabet)))
         assert d.num_states <= intersect(a, complement(b, alphabet)).num_states
+
+
+def test_difference_is_a_function_of_values():
+    # the engine hands one subtraction to every grammar with an equal
+    # (approximation, generalization) pair, whether or not its operands
+    # carry recorded rows
+    rng = random.Random(38)
+    values = [v for vs in _row_values().values() for v in vs]
+    pairs = [(rng.choice(values), rng.choice(values)) for _ in range(150)]
+    for _ in range(60):
+        a, b = _random_dfa(rng), _random_dfa(rng)
+        pairs.append(tuple(_from_rows(x.alphabet, _rows_of(x), x.accepting) for x in (a, b)))
+    for a, b in pairs:
+        assert "_rows" in vars(a) and "_rows" in vars(b)
+        results = [
+            difference(x, y)
+            for x in (a, _fresh(a))
+            for y in (b, dataclasses.replace(b))
+        ]
+        assert all(d == results[0] for d in results)
+        assert len({to_dot(d) for d in results}) == 1
+        assert all(vars(d)["_rows"] == vars(results[0])["_rows"] for d in results)
 
 
 # --- the product walk ---------------------------------------------------------
