@@ -5,12 +5,15 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cflsep.engine as engine
 import cflsep.refinement as refinement
+from cflsep.engine import Config
 from cflsep.grammar import GrammarError
 from cflsep.nfa import Nfa, difference, is_empty, union, word_automaton
 from cflsep.prestar import PrestarSession, _with_batches, in_language, intersects
@@ -259,12 +262,20 @@ def test_star_generalize_test_budget(monkeypatch):
     assert 0 < counter["n"] <= n * (n + 1) // 2
 
 
+def _added_edges(word, chosen, r):
+    """The edges that starring ``r`` adds to the ranges ``chosen``, in the
+    order of a batch."""
+    before = gen_language(StarGeneralization(word, frozenset(chosen))).transitions
+    after = gen_language(StarGeneralization(word, frozenset(chosen) | {r})).transitions
+    return sorted(after - before, key=lambda e: (e[0], e[2]))
+
+
 @st.composite
 def star_session_runs(draw):
-    """A random grammar, a word of up to 4 letters, and candidate ranges,
+    """A random grammar, a word of up to 9 letters, and candidate ranges,
     each with a flag to pop the newest chosen range after trying it."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
-    word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
+    word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 9)))
     spans = refinement._star_candidates(len(word))
     steps = [(rng.choice(spans), rng.random() < 0.3) for _ in range(rng.randint(0, 10) if spans else 0)]
     return random_cfg(rng), word, steps
@@ -293,6 +304,7 @@ def test_star_session_agrees_with_a_fresh_intersection(run):
         assert (edges is None) == any(_crosses(r, a) for a in chosen)
         if edges is None:
             continue
+        assert edges == _added_edges(word, chosen, r)
         state = saturation_state(session._sat)
         expected = not intersects(g, gen_language(StarGeneralization(word, frozenset(chosen) | {r})))
         assert session.try_add(edges) == expected
@@ -307,6 +319,84 @@ def test_star_session_agrees_with_a_fresh_intersection(run):
             assert session.automaton() == gen_language(StarGeneralization(word, frozenset(chosen)))
 
 
+def test_star_batches_are_the_added_edges_along_max_walks():
+    # grammar-free: a session stand-in accepts at random, so the max walk's
+    # order yields random include/pop sequences, and every batch must be the
+    # edges that starring its range adds to the chosen ones
+    class RandomSession:
+        def __init__(self, base, rng):
+            self.base, self.rng = base, rng
+
+        def try_add(self, edges):
+            return self.rng.random() < 0.7
+
+        def pop(self):
+            pass
+
+    rng = random.Random(23)
+    batches = shared_starts = 0
+    for _ in range(60):
+        word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 10)))
+        session = RandomSession(refinement._position_automaton(word, ()), rng)
+        batch = refinement._star_batches(word, session)
+
+        def checked(chosen, r):
+            nonlocal batches, shared_starts
+            edges = batch(chosen, r)
+            assert (edges is None) == any(_crosses(r, a) for a in chosen)
+            if edges is not None:
+                assert edges == _added_edges(word, chosen, r)
+                batches += 1
+                shared_starts += any(a[0] == r[0] for a in chosen)
+            return edges
+
+        walk = refinement._walk(session, refinement._star_candidates(len(word)), checked)
+        for _ in itertools.islice(walk, 40):
+            pass
+    assert batches > 2000 and shared_starts > 1000
+
+
+def test_star_batches_are_the_added_edges_in_any_order():
+    # candidates in random order, so a chosen range may lie around the new
+    # one, with random commits and pops; a list of chosen ranges that is not
+    # what the calls batched is refused
+    rng = random.Random(29)
+    batches = around = 0
+    for _ in range(200):
+        word = tuple(rng.choice("ab") for _ in range(rng.randint(1, 10)))
+        spans = refinement._star_candidates(len(word))
+        batch = refinement._star_batches(word, SimpleNamespace(base=refinement._position_automaton(word, ())))
+        chosen: list[tuple[int, int]] = []
+        for _ in range(30):
+            r = rng.choice(spans)
+            if r in chosen:
+                continue
+            edges = batch(chosen, r)
+            assert (edges is None) == any(_crosses(r, a) for a in chosen)
+            if edges is not None:
+                assert edges == _added_edges(word, chosen, r)
+                batches += 1
+                around += any(a[0] <= r[0] and r[1] <= a[1] for a in chosen)
+                if rng.random() < 0.6:
+                    chosen.append(r)
+            while chosen and rng.random() < 0.3:
+                chosen.pop()
+    assert batches > 2000 and around > 500
+    batch = refinement._star_batches(AAB, SimpleNamespace(base=refinement._position_automaton(AAB, ())))
+    batch([], (0, 1))
+    with pytest.raises(ValueError):
+        batch([(1, 2)], (0, 3))
+
+
+def _fixture_words_outside():
+    """Each fixture grammar with each word of up to 3 letters outside it."""
+    for path in sorted(FIXTURES.glob("*.cfg")):
+        for g in load_fixture(path.name):
+            for w in words_upto(tuple(g.terminals), 3):
+                if not in_language(g, w):
+                    yield g, w
+
+
 def test_greedy_generalizers_never_pop(monkeypatch):
     # a greedy walk takes the first leaf, so it never undoes a choice
     def refuse(self):
@@ -314,13 +404,20 @@ def test_greedy_generalizers_never_pop(monkeypatch):
 
     monkeypatch.setattr(PrestarSession, "pop", refuse)
     tried = 0
-    for path in sorted(FIXTURES.glob("*.cfg")):
-        for g in load_fixture(path.name):
-            for w in words_upto(tuple(g.terminals), 3):
-                if not in_language(g, w):
-                    tried += 1
-                    assert not intersects(g, gen_language(star_generalize(w, g)))
-                    assert not intersects(g, eps_generalize(w, g))
+    for g, w in _fixture_words_outside():
+        tried += 1
+        assert not intersects(g, gen_language(star_generalize(w, g)))
+        assert not intersects(g, eps_generalize(w, g))
+    assert tried > 100
+
+
+def test_engine_greedy_star_is_the_gen_language_of_star_generalize():
+    # the engine reads the greedy-star automaton off the walk's session
+    config = Config(strategy="greedy-star")
+    tried = 0
+    for g, w in _fixture_words_outside():
+        tried += 1
+        assert engine._generalize(g, w, config) == gen_language(star_generalize(w, g))
     assert tried > 100
 
 
@@ -448,6 +545,27 @@ def test_star_generalizers_run_on_one_session(monkeypatch):
     for generalize in (star_generalize, lambda w, g: max_star_generalize(g, w)):
         with pytest.raises(GrammarError):
             generalize(("b",), AIBI1)
+
+
+def test_star_batches_build_no_position_automaton(monkeypatch):
+    # the batches come from the coverability table: a greedy-star
+    # generalization builds only its base position automaton
+    builds = {"n": 0}
+    real = refinement._position_automaton
+
+    def counting(word, ranges):
+        builds["n"] += 1
+        return real(word, ranges)
+
+    monkeypatch.setattr(refinement, "_position_automaton", counting)
+    config = Config(strategy="greedy-star")
+    for w in (AAB, ("a", "a", "b", "a", "a", "b", "b"), ()):
+        builds["n"] = 0
+        engine._generalize(AIBI1, w, config)
+        assert builds["n"] == 1
+        builds["n"] = 0
+        star_generalize(w, AIBI1)
+        assert builds["n"] == 1
 
 
 def test_eps_generalize_edge_budget(monkeypatch):
