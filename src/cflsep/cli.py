@@ -65,7 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--validate",
         action="store_true",
-        help="re-check the verdict with independent oracles before reporting",
+        help="re-check the verdict exactly before reporting: an overlap witness is in "
+        "every language; separating approximations share no word and each contains "
+        "its grammar's language (not independent: the check reuses the engine's "
+        "product walk and pre* saturation)",
     )
     return parser
 

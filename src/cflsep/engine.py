@@ -21,7 +21,7 @@ from .grammar import Cfg, GrammarError
 from .nfa import Nfa, difference
 from .nfa import shortest_common_word as _joint_witness  # the per-round witness search
 from .prestar import in_language
-from .refinement import BudgetExceededError, _greedy_star, eps_generalize, max_eps_generalize, max_star_generalize
+from .refinement import BudgetExceededError, _generalization
 
 ABSTRACTIONS = ("sigma-star", "nederhof")
 STRATEGIES = ("greedy-star", "greedy-eps", "max-star", "max-eps")
@@ -79,13 +79,7 @@ def classify_witness(w: Sequence[str], grammars: Sequence[Cfg]) -> list[bool]:
 
 
 def _generalize(g: Cfg, w: tuple[str, ...], cfg: Config) -> Nfa:
-    if cfg.strategy == "greedy-star":
-        return _greedy_star(w, g)[1].automaton()  # gen_language(star_generalize(w, g))
-    if cfg.strategy == "greedy-eps":
-        return eps_generalize(w, g)
-    if cfg.strategy == "max-star":
-        return max_star_generalize(g, w)
-    return max_eps_generalize(g, w)
+    return _generalization(g, w, cfg.strategy)[0]
 
 
 def check_disjoint(

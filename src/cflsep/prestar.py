@@ -353,10 +353,6 @@ class PrestarSession:
 
     def automaton(self) -> Nfa:
         """Base automaton plus every committed edge, each checked by ``try_add``."""
-        return _with_batches(self.base, self.edges)
-
-
-def _with_batches(base: Nfa, batches: Iterable[Iterable[tuple[int, str | None, int]]]) -> Nfa:
-    """``base`` plus the edges of ``batches``, as checked by ``PrestarSession.try_add``."""
-    transitions = base.transitions.union(*batches)
-    return _nfa(base.num_states, base.alphabet, transitions, base.initial, base.accepting)
+        base = self.base
+        transitions = base.transitions.union(*self.edges)
+        return _nfa(base.num_states, base.alphabet, transitions, base.initial, base.accepting)

@@ -6,8 +6,10 @@ ranges of the word (star generalization) or by adding forward-epsilon and
 label-replaying backward edges to the word's chain automaton (epsilon
 generalization). Both run one depth-first include/exclude walk over a fixed
 candidate order, include branch first, whose leaves are the valid
-generalizations. The greedy variants take its first leaf; the maximum
-variants union its subset-maximal leaves in walk order, within a node budget.
+generalizations. All four strategies go through ``_generalization``, and
+every one reads the automaton that the session holds at a leaf: the greedy
+variants at its first leaf; the maximum variants at each subset-maximal
+leaf, unioned in walk order, within a node budget.
 
 The walk keeps the chosen candidates and tries each candidate on one
 incremental PrestarSession, as the batch of edges it adds to the chosen ones:
@@ -16,10 +18,10 @@ and a star range is the batch of edges that starring it adds to the word's
 position automaton, whose states do not depend on the ranges; a range that
 crosses a chosen one has no batch and is not tried. A star batch is read off
 a table of the gaps of the word that chosen ranges cover, with one level per
-committed batch, so no position automaton is built per candidate. An include
-pushes its batch on the session and backtracking pops it, so the walk's own
-stack holds only candidate indices. The base saturation decides whether the
-witness is in the language at all.
+committed batch, so a star walk builds one position automaton, its base. An
+include pushes its batch on the session and backtracking pops it, so the
+walk's own stack holds only candidate indices. The base saturation decides
+whether the witness is in the language at all.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .grammar import Cfg, GrammarError
 from .nfa import Nfa, _nfa, union, word_automaton
-from .prestar import PrestarSession, _with_batches
+from .prestar import PrestarSession
 from .prestar import intersects  # noqa: F401  unused; bench/tracer.py patches refinement.intersects
 
 DEFAULT_BUDGET = 10**6
@@ -90,12 +92,7 @@ def gen_language(sg: StarGeneralization) -> Nfa:
     {(0, k) : 1 <= k <= n} on aⁿ has n(n+1)/2 + 2n + 1 edges, 4,507,501 for
     n = 3,000, which took a 677 MB peak and 6.8 s to build.
     """
-    return _position_automaton(sg.word, sg.ranges)
-
-
-def _position_automaton(word: tuple[str, ...], ranges: Iterable[tuple[int, int]]) -> Nfa:
-    """``gen_language`` of ``word`` and ``ranges``, which must be in bounds and
-    nested or disjoint, as ``StarGeneralization`` checks."""
+    word = sg.word
     n = len(word)
     edges: set[tuple[int, str | None, int]] = set()
     # built ranges not yet inside a built range, by start: (end, nullable, first, last)
@@ -116,7 +113,7 @@ def _position_automaton(word: tuple[str, ...], ranges: Iterable[tuple[int, int]]
             nullable, last, pos = nullable and c_nullable, c_last, end
         return first, last
 
-    for lo, hi in sorted(ranges, key=lambda r: r[1] - r[0]):
+    for lo, hi in sorted(sg.ranges, key=lambda r: r[1] - r[0]):
         first, last = concat(lo, hi, set())
         edges.update((p, word[q - 1], q) for p in last for q in first)
         pending[lo] = (hi, True, first, last)
@@ -124,13 +121,6 @@ def _position_automaton(word: tuple[str, ...], ranges: Iterable[tuple[int, int]]
     edges.update((p, None, n + 1) for p in last)
     alphabet = tuple(dict.fromkeys(word))
     return _nfa(n + 2, alphabet, frozenset(edges), 0, frozenset({n + 1}))
-
-
-def _session(g: Cfg, base: Nfa) -> PrestarSession:
-    session = PrestarSession(g, base)
-    if session.intersects():  # the base saturation decides membership
-        raise GrammarError("witness is in the language; it cannot be generalized")
-    return session
 
 
 def _star_candidates(n: int) -> list[tuple[int, int]]:
@@ -143,10 +133,6 @@ def _eps_candidates(word: tuple[str, ...]) -> list[tuple[tuple[int, str | None, 
     # edges, each in the star ranges' order
     spans = _star_candidates(len(word))
     return [((i, None, j),) for i, j in spans] + [((j - 1, word[j - 1], i),) for i, j in spans]
-
-
-def _own_batch(chosen: Sequence, c: tuple) -> tuple:
-    return c  # an epsilon candidate is its own batch of edges
 
 
 def _star_batches(
@@ -256,57 +242,62 @@ def _walk(
             stack += [None, idx + 1]
 
 
-def _union_of_maxima(leaves: Iterator[frozenset], build: Callable[[frozenset], Nfa]) -> Nfa:
-    # the union of all valid generalizations equals the union over the
-    # subset-maximal ones (adding a range or edge only grows the language);
-    # the walk yields a leaf's strict supersets before it, so a leaf is
-    # maximal unless it lies inside one kept so far, and the union goes in
-    # walk order, which never depends on hashing
+def _generalization(
+    g: Cfg, w: Sequence[str], strategy: str, budget: int = DEFAULT_BUDGET
+) -> tuple[Nfa, frozenset]:
+    """The generalization of ``w`` against ``L(g)`` under ``strategy``, one of
+    ``engine.STRATEGIES``, and the first leaf of its walk.
+
+    At a leaf the session holds exactly the leaf's batches, so its automaton
+    is the leaf's generalization. Greedy reads it at the first leaf, with no
+    budget; max at each leaf not inside a kept one, unioned in walk order,
+    which never depends on hashing. That is the union of every valid
+    generalization: a candidate only adds edges, and the walk yields a
+    leaf's strict supersets before it.
+    """
+    w = tuple(w)
+    kind, family = strategy.split("-")
+    if family == "star":
+        session = PrestarSession(g, gen_language(StarGeneralization(w, frozenset())))
+        candidates, batch = _star_candidates(len(w)), _star_batches(w, session)
+    else:
+        session = PrestarSession(g, word_automaton(w))
+        candidates, batch = _eps_candidates(w), lambda chosen, c: c  # an epsilon candidate is its own batch
+    if session.intersects():  # the base saturation decides membership
+        raise GrammarError("witness is in the language; it cannot be generalized")
+    if kind == "greedy":
+        first = next(_walk(session, candidates, batch))  # left committed on the session
+        return session.automaton(), first
     kept: list[frozenset] = []
-    for leaf in leaves:
+    automata: list[Nfa] = []
+    for leaf in _walk(session, candidates, batch, budget):
         if not any(leaf <= other for other in kept):
             kept.append(leaf)
-    return union(*map(build, kept))
-
-
-def _greedy_star(w: tuple[str, ...], g: Cfg) -> tuple[frozenset[tuple[int, int]], PrestarSession]:
-    # the greedy walk's ranges, and its session, which holds their gen_language:
-    # the engine reads the automaton off it instead of building it again
-    session = _session(g, _position_automaton(w, ()))
-    return next(_walk(session, _star_candidates(len(w)), _star_batches(w, session))), session
+            automata.append(session.automaton())
+    return union(*automata), kept[0]
 
 
 def star_generalize(w: Sequence[str], g: Cfg) -> StarGeneralization:
     """Greedy maximal star generalization of ``w`` against ``L(g)``: each
     range is tried once, shortest span first, and kept when the language
     still avoids L(g); ranges crossing a kept one are not tried."""
-    w = tuple(w)
-    return StarGeneralization(w, _greedy_star(w, g)[0])
+    return StarGeneralization(tuple(w), _generalization(g, w, "greedy-star")[1])
 
 
 def eps_generalize(w: Sequence[str], g: Cfg) -> Nfa:
     """Greedy maximal epsilon generalization of ``w`` against ``L(g)``: forward
     epsilon edges (shortest span first), then backward edges, each kept when
     the saturation session shows L(g) still excluded."""
-    w = tuple(w)
-    session = _session(g, word_automaton(w))
-    next(_walk(session, _eps_candidates(w), _own_batch))  # the session now holds the first leaf
-    return session.automaton()
+    return _generalization(g, w, "greedy-eps")[0]
 
 
 def max_star_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
     """Union of every valid star generalization of ``w`` against ``L(g)``;
     raises BudgetExceededError once the walk visits more than ``budget`` nodes."""
-    w = tuple(w)
-    session = _session(g, _position_automaton(w, ()))
-    leaves = _walk(session, _star_candidates(len(w)), _star_batches(w, session), budget)
-    return _union_of_maxima(leaves, lambda ranges: _position_automaton(w, ranges))
+    return _generalization(g, w, "max-star", budget)[0]
 
 
 def max_eps_generalize(g: Cfg, w: Sequence[str], budget: int = DEFAULT_BUDGET) -> Nfa:
-    """Union of every valid epsilon generalization of ``w`` against ``L(g)``."""
-    w = tuple(w)
-    base = word_automaton(w)
-    leaves = _walk(_session(g, base), _eps_candidates(w), _own_batch, budget)
-    # a leaf is a set of one-edge batches, each checked by the session
-    return _union_of_maxima(leaves, lambda batches: _with_batches(base, batches))
+    """Union of every valid epsilon generalization of ``w`` against ``L(g)``;
+    raises BudgetExceededError once the walk visits more than ``budget`` nodes."""
+    return _generalization(g, w, "max-eps", budget)[0]

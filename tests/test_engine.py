@@ -6,6 +6,7 @@ import time
 import pytest
 
 import cflsep.engine as engine
+import cflsep.refinement as refinement
 from cflsep.engine import (
     Config,
     Overlap,
@@ -18,7 +19,6 @@ from cflsep.engine import (
 from cflsep.grammar import GrammarError
 from cflsep.nfa import difference, is_empty, minimize, to_dot
 from cflsep.prestar import PrestarSession, in_language
-from cflsep.refinement import max_star_generalize
 
 from oracles import accepts, enumerate_words, equivalent_states
 from support import AIBI1, FIXTURES, PALINDROME, grammar, load_fixture, random_cfg
@@ -103,9 +103,7 @@ def test_iteration_cap_yields_unknown():
 
 def test_budget_exhaustion_yields_unknown(monkeypatch):
     c2 = grammar('grammar C2 { start S; S -> "a" S "a" | "b" S "b" | "c"; }')
-    monkeypatch.setattr(
-        engine, "max_star_generalize", functools.partial(max_star_generalize, budget=2)
-    )
+    monkeypatch.setattr(engine, "_generalization", functools.partial(refinement._generalization, budget=2))
     verdict = check_disjoint([c2, C4], Config(abstraction="sigma-star", strategy="max-star"))
     assert isinstance(verdict, Unknown)
     assert verdict.reason == "budget"

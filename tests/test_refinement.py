@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import os
@@ -16,7 +17,7 @@ import cflsep.refinement as refinement
 from cflsep.engine import Config
 from cflsep.grammar import GrammarError
 from cflsep.nfa import Nfa, difference, is_empty, union, word_automaton
-from cflsep.prestar import PrestarSession, _with_batches, in_language, intersects
+from cflsep.prestar import PrestarSession, in_language, intersects
 from cflsep.refinement import (
     BudgetExceededError,
     StarGeneralization,
@@ -289,7 +290,7 @@ def test_star_session_agrees_with_a_fresh_intersection(run):
     # starred language, and a pop restores exactly the session before the
     # popped range
     g, word, steps = run
-    base = refinement._position_automaton(word, ())
+    base = gen_language(StarGeneralization(word, frozenset()))
     session = PrestarSession(g, base)
     assert session.intersects() == in_language(g, word)
     if session.intersects():
@@ -337,7 +338,7 @@ def test_star_batches_are_the_added_edges_along_max_walks():
     batches = shared_starts = 0
     for _ in range(60):
         word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 10)))
-        session = RandomSession(refinement._position_automaton(word, ()), rng)
+        session = RandomSession(gen_language(StarGeneralization(word, frozenset())), rng)
         batch = refinement._star_batches(word, session)
 
         def checked(chosen, r):
@@ -365,7 +366,7 @@ def test_star_batches_are_the_added_edges_in_any_order():
     for _ in range(200):
         word = tuple(rng.choice("ab") for _ in range(rng.randint(1, 10)))
         spans = refinement._star_candidates(len(word))
-        batch = refinement._star_batches(word, SimpleNamespace(base=refinement._position_automaton(word, ())))
+        batch = refinement._star_batches(word, SimpleNamespace(base=gen_language(StarGeneralization(word, frozenset()))))
         chosen: list[tuple[int, int]] = []
         for _ in range(30):
             r = rng.choice(spans)
@@ -382,7 +383,7 @@ def test_star_batches_are_the_added_edges_in_any_order():
             while chosen and rng.random() < 0.3:
                 chosen.pop()
     assert batches > 2000 and around > 500
-    batch = refinement._star_batches(AAB, SimpleNamespace(base=refinement._position_automaton(AAB, ())))
+    batch = refinement._star_batches(AAB, SimpleNamespace(base=gen_language(StarGeneralization(AAB, frozenset()))))
     batch([], (0, 1))
     with pytest.raises(ValueError):
         batch([(1, 2)], (0, 3))
@@ -411,37 +412,74 @@ def test_greedy_generalizers_never_pop(monkeypatch):
     assert tried > 100
 
 
-def test_engine_greedy_star_is_the_gen_language_of_star_generalize():
-    # the engine reads the greedy-star automaton off the walk's session
-    config = Config(strategy="greedy-star")
-    tried = 0
-    for g, w in _fixture_words_outside():
-        tried += 1
-        assert engine._generalize(g, w, config) == gen_language(star_generalize(w, g))
-    assert tried > 100
+def _budget_or(generalize):
+    try:
+        return generalize()
+    except BudgetExceededError:
+        return "budget"
+
+
+def test_engine_generalize_is_the_public_generalization(monkeypatch):
+    # the engine reads every strategy's automaton off the walk's session; it
+    # is the public function's, and a max walk runs out of budget on both
+    # sides alike
+    budget = 60
+    public = {
+        "greedy-star": lambda g, w: gen_language(star_generalize(w, g)),
+        "greedy-eps": lambda g, w: eps_generalize(w, g),
+        "max-star": lambda g, w: max_star_generalize(g, w, budget=budget),
+        "max-eps": lambda g, w: max_eps_generalize(g, w, budget=budget),
+    }
+    assert tuple(public) == engine.STRATEGIES
+    monkeypatch.setattr(engine, "_generalization", functools.partial(refinement._generalization, budget=budget))
+    pairs = list(_fixture_words_outside())
+    assert len(pairs) > 100
+    for strategy, generalize in public.items():
+        config = Config(strategy=strategy)
+        hits = 0
+        for g, w in pairs:
+            got = _budget_or(lambda: engine._generalize(g, w, config))
+            assert got == _budget_or(lambda: generalize(g, w))
+            hits += got == "budget"
+        assert hits < len(pairs) and (hits > 0) == strategy.startswith("max")
 
 
 def _walk_leaves(g, w, family):
-    """The leaves of the maximal walk of one family on ``w``, their builder,
-    or None past a small budget."""
+    """The leaves of the maximal walk of one family on ``w`` and the
+    reference automaton of a leaf, or None past a small budget."""
     if family == "star":
-        session = PrestarSession(g, refinement._position_automaton(w, ()))
+        session = PrestarSession(g, gen_language(StarGeneralization(w, frozenset())))
         candidates, batch = refinement._star_candidates(len(w)), refinement._star_batches(w, session)
-        build = lambda ranges: refinement._position_automaton(w, ranges)  # noqa: E731
+
+        def reference(ranges):
+            return gen_language(StarGeneralization(w, ranges))
     else:
         session = PrestarSession(g, word_automaton(w))
-        candidates, batch = refinement._eps_candidates(w), refinement._own_batch
-        build = lambda batches: _with_batches(session.base, batches)  # noqa: E731
+        candidates, batch = refinement._eps_candidates(w), lambda chosen, c: c
+
+        def reference(batches):
+            base = session.base
+            return Nfa(base.num_states, base.alphabet, base.transitions.union(*batches), base.initial, base.accepting)
     try:
-        return list(refinement._walk(session, candidates, batch, budget=3000)), build
+        return list(refinement._walk(session, candidates, batch, budget=3000)), reference
     except BudgetExceededError:
         return None
 
 
-def test_union_of_maxima_keeps_the_maximal_leaves_in_walk_order():
+def test_max_generalization_reads_the_maximal_leaves_in_walk_order(monkeypatch):
     # the include-first walk yields every strict superset of a leaf before
     # the leaf, so keeping a leaf unless a kept one holds it keeps exactly
-    # the subset-maximal leaves, unioned in walk order
+    # the subset-maximal leaves; the session's automaton is read at each of
+    # them, holding that leaf's batches, and unioned in walk order
+    reads = []
+    real = PrestarSession.automaton
+
+    def spy(self):
+        got = real(self)
+        reads.append((len(self.edges), got))
+        return got
+
+    monkeypatch.setattr(PrestarSession, "automaton", spy)
     rng = random.Random(5)
     walks = 0
     while walks < 60:
@@ -454,15 +492,20 @@ def test_union_of_maxima_keeps_the_maximal_leaves_in_walk_order():
             if found is None:
                 continue
             walks += 1
-            leaves, build = found
+            leaves, reference = found
             assert len(set(leaves)) == len(leaves)
             for i, leaf in enumerate(leaves):
                 assert not any(leaf < later for later in leaves[i + 1:])
             maxima = [leaf for leaf in leaves if not any(leaf < other for other in leaves)]
-            built = []
-            got = refinement._union_of_maxima(iter(leaves), lambda leaf: built.append(leaf) or build(leaf))
-            assert built == maxima
-            assert got == union(*map(build, maxima))
+            reads.clear()
+            got, first = refinement._generalization(g, w, f"max-{family}", budget=3000)
+            assert reads == [(len(leaf), reference(leaf)) for leaf in maxima]
+            assert got == union(*map(reference, maxima))
+            assert first == leaves[0]
+            reads.clear()
+            greedy, first = refinement._generalization(g, w, f"greedy-{family}")
+            assert reads == [(len(leaves[0]), greedy)] and greedy == reference(leaves[0])
+            assert first == leaves[0]
 
 
 # --- eps_generalize -----------------------------------------------------------
@@ -548,24 +591,28 @@ def test_star_generalizers_run_on_one_session(monkeypatch):
 
 
 def test_star_batches_build_no_position_automaton(monkeypatch):
-    # the batches come from the coverability table: a greedy-star
-    # generalization builds only its base position automaton
+    # the batches come from the coverability table and every leaf is read
+    # off the session: a star generalization of any strategy builds only its
+    # base position automaton
     builds = {"n": 0}
-    real = refinement._position_automaton
+    real = refinement.gen_language
 
-    def counting(word, ranges):
+    def counting(sg):
         builds["n"] += 1
-        return real(word, ranges)
+        return real(sg)
 
-    monkeypatch.setattr(refinement, "_position_automaton", counting)
-    config = Config(strategy="greedy-star")
+    monkeypatch.setattr(refinement, "gen_language", counting)
+    generalizers = [
+        lambda w: engine._generalize(AIBI1, w, Config(strategy="greedy-star")),
+        lambda w: star_generalize(w, AIBI1),
+        lambda w: engine._generalize(AIBI1, w, Config(strategy="max-star")),
+        lambda w: max_star_generalize(AIBI1, w),
+    ]
     for w in (AAB, ("a", "a", "b", "a", "a", "b", "b"), ()):
-        builds["n"] = 0
-        engine._generalize(AIBI1, w, config)
-        assert builds["n"] == 1
-        builds["n"] = 0
-        star_generalize(w, AIBI1)
-        assert builds["n"] == 1
+        for generalize in generalizers:
+            builds["n"] = 0
+            generalize(w)
+            assert builds["n"] == 1
 
 
 def test_eps_generalize_edge_budget(monkeypatch):
