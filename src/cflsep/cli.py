@@ -55,8 +55,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=defaults.strategy,
         help="counterexample generalization strategy (default: %(default)s)",
     )
-    parser.add_argument("--max-refinements", type=int, default=defaults.max_refinements, metavar="N")
-    parser.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS")
+    parser.add_argument(
+        "--max-refinements",
+        type=int,
+        default=defaults.max_refinements,
+        metavar="N",
+        help="iteration cap before giving up (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=60.0,
+        metavar="SECONDS",
+        help="wall clock, checked between refinement rounds; NaN or negative exits 3 "
+        "(default: %(default)s)",
+    )
     parser.add_argument(
         "--dump-approx",
         metavar="DIR",

@@ -11,24 +11,24 @@ every one reads the automaton that the session holds at a leaf: the greedy
 variants at its first leaf; the maximum variants at each subset-maximal
 leaf, unioned in walk order, within a node budget.
 
-The walk keeps the chosen candidates and tries each candidate on one
-incremental PrestarSession, as the batch of edges it adds to the chosen ones:
-an epsilon candidate is its own one-edge batch on the word's chain automaton,
-and a star range is the batch of edges that starring it adds to the word's
-position automaton, whose states do not depend on the ranges; a range that
-crosses a chosen one has no batch and is not tried. A star batch is read off
-a table of the gaps of the word that chosen ranges cover, with one level per
-committed batch, so a star walk builds one position automaton, its base. An
-include pushes its batch on the session and backtracking pops it, so the
-walk's own stack holds only candidate indices. The base saturation decides
-whether the witness is in the language at all.
+The walk drives two steps over one incremental PrestarSession: ``include``
+tries a candidate as one batch of edges and reports it kept, rejected or not
+tried, and ``pop`` undoes the newest kept one, so the walk's own stack holds
+only candidate indices. An epsilon candidate is its own one-edge batch on
+the word's chain automaton, so its steps are the session's own. A star
+range's batch is the edges that starring it adds to the word's position
+automaton, whose states do not depend on the ranges; a range that crosses
+an included one is not tried. The batch is read off a table of the gaps of
+the word that included ranges cover, which moves with the session, so a
+star walk builds one position automaton, its base. The base saturation
+decides whether the witness is in the language at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .grammar import Cfg, GrammarError
 from .nfa import Nfa, _nfa, union, word_automaton
@@ -135,109 +135,95 @@ def _eps_candidates(word: tuple[str, ...]) -> list[tuple[tuple[int, str | None, 
     return [((i, None, j),) for i, j in spans] + [((j - 1, word[j - 1], i),) for i, j in spans]
 
 
-def _star_batches(
-    w: tuple[str, ...], session: PrestarSession
-) -> Callable[[Sequence, tuple[int, int]], list | None]:
-    """The batch of a star range on ``session``, over the position automaton
-    of ``w`` and holding the ranges chosen so far: the edges that starring it
-    adds to their ``gen_language``, or None for a range crossing one of them.
+def _star_steps(w: tuple[str, ...], session: PrestarSession) -> tuple[Callable, Callable]:
+    """``include`` and ``pop`` of star ranges on ``session``, over the
+    position automaton of ``w``. ``include(r)`` tries as one batch the edges
+    that starring ``r`` adds to the ``gen_language`` of the included ranges,
+    and returns None, untried, for a range crossing one of them; ``pop()``
+    undoes the newest included range.
 
     The edges follow from a coverability table. The gap (x, y), x < y, is
-    coverable when the letters x+1..y are a concatenation of chosen ranges,
-    and (x, x) always is. ``gen_language`` has the edge p -> q+1 exactly
-    when (p, q) is coverable (an ε edge into n+1 for q = n), and the loops of
-    each chosen range (a, b): from each last position p, (p, b) coverable,
-    to each first position q, (a, q-1) coverable, for a < p, q <= b. So
-    starring (i, j) adds the edges of the gaps it newly covers, (x, y) with
-    (x, i) and (j, y) coverable; its own loops; and the loops that those
-    gaps give the chosen ranges around it. The table keeps one level per
-    batch committed on the session: each call first drops the levels of the
-    ranges popped from ``chosen`` and pushes the one committed since.
+    coverable when the letters x+1..y are a concatenation of included
+    ranges, and (x, x) always is. ``gen_language`` has the edge p -> q+1
+    exactly when (p, q) is coverable (an ε edge into n+1 for q = n), and the
+    loops of each included range (a, b): from each last position p, (p, b)
+    coverable, to each first position q, (a, q-1) coverable, for a < p, q <=
+    b. So starring (i, j) adds the edges of the gaps it newly covers, (x, y)
+    with (x, i) and (j, y) coverable; its own loops; and the loops that those
+    gaps give the included ranges around it. The table keeps one level per
+    range the session commits, pushed with it and popped with it.
     """
     n = len(w)
     ends: list[set[int]] = [set() for _ in range(n + 1)]  # ends[x]: each y > x with (x, y) coverable
     starts: list[set[int]] = [set() for _ in range(n + 1)]  # starts[y]: each x < y with (x, y) coverable
     held = set(session.base.transitions)  # the session's edges
-    ranges: list[tuple[int, int]] = []  # the range of each level, oldest first
-    levels: list[tuple[list, set]] = []  # the gaps each level covered and the edges it added
-    pending = None  # the range of the last call, with its gaps and edges
+    levels: list[tuple[tuple[int, int], list, set]] = []  # per included range: (it, gaps covered, edges added)
 
-    def starred(r: tuple[int, int], chosen: Iterable[tuple[int, int]]) -> tuple[list, set]:
-        # the gaps and edges that starring r adds to ``chosen``, which the table holds
+    def include(r: tuple[int, int]) -> bool | None:
+        if any(_crosses(r, a) for a, _, _ in levels):
+            return None
         i, j = r
-        outer = [(a, b) for a, b in chosen if a <= i and j <= b]
+        outer = [(a, b) for (a, b), _, _ in levels if a <= i and j <= b]
         gaps = [] if j in ends[i] else [(x, y) for x in (i, *starts[i]) for y in (j, *ends[j]) if y not in ends[x]]
         edges = {(x, w[y] if y < n else None, y + 1) for x, y in gaps}
         for a, b in (r, *outer):
             firsts = [y + 1 for y in (a, *ends[a], *(y for x, y in gaps if x == a)) if y < b]
             lasts = [x for x in (b, *starts[b], *(x for x, y in gaps if y == b)) if x > a]
             edges.update((p, w[q - 1], q) for p in lasts for q in firsts)
-        return gaps, edges - held
-
-    def sync(chosen: Sequence[tuple[int, int]]) -> None:
-        # between two calls the walk pops chosen ranges, or commits the range
-        # of the last call, whose batch was made on the table as it still is
-        while len(ranges) > len(chosen):
-            gaps, edges = levels.pop()
-            ranges.pop()
-            for x, y in gaps:
-                ends[x].remove(y)
-                starts[y].remove(x)
-            held.difference_update(edges)
-        if len(chosen) > len(ranges):
-            r, gaps, edges = pending
-            for x, y in gaps:
-                ends[x].add(y)
-                starts[y].add(x)
-            held.update(edges)
-            ranges.append(r)
-            levels.append((gaps, edges))
-        if ranges != list(chosen):
-            raise ValueError(f"chosen ranges {list(chosen)} are not the batched ones {ranges}")
-
-    def batch(chosen: Sequence[tuple[int, int]], r: tuple[int, int]) -> list | None:
-        nonlocal pending
-        if any(_crosses(r, a) for a in chosen):
-            return None
-        sync(chosen)
-        pending = (r, *starred(r, chosen))
+        edges -= held
         # in a fixed order, not the set's hash order (an edge's ends fix its label)
-        return sorted(pending[2], key=lambda e: (e[0], e[2]))
+        if not session.try_add(sorted(edges, key=lambda e: (e[0], e[2]))):
+            return False
+        for x, y in gaps:
+            ends[x].add(y)
+            starts[y].add(x)
+        held.update(edges)
+        levels.append((r, gaps, edges))
+        return True
 
-    return batch
+    def pop() -> None:
+        session.pop()
+        _, gaps, edges = levels.pop()
+        for x, y in gaps:
+            ends[x].remove(y)
+            starts[y].remove(x)
+        held.difference_update(edges)
+
+    return include, pop
 
 
 def _walk(
-    session: PrestarSession, candidates: Sequence, batch: Callable, budget: float = math.inf
+    include: Callable, pop: Callable, candidates: Sequence, budget: float = math.inf
 ) -> Iterator[frozenset]:
     """Depth-first include/exclude walk over ``candidates``, include first,
     yielding the frozenset of the chosen candidates at each leaf: the first
-    leaf is the greedy choice, left committed on ``session``. A candidate
-    ``c`` is tried on ``session`` as the edge batch ``batch(chosen, c)``; a
-    None batch is not tried and gets no node. Nodes are counted against
-    ``budget``. Candidates are distinct and the choice only grows below an
-    include, so no two nodes share choice and position, and every strict
-    superset of a leaf comes before it: at the first candidate where the two
-    differ, the superset takes the include branch."""
+    leaf is the greedy choice, left included. ``include(c)`` returns True
+    when it keeps ``c``, False when it rejects it, and None when ``c`` is not
+    tried, which gets no node; ``pop()`` undoes the newest kept candidate.
+    Nodes are counted against ``budget``. Candidates are distinct and the
+    choice only grows below an include, so no two nodes share choice and
+    position, and every strict superset of a leaf comes before it: at the
+    first candidate where the two differ, the superset takes the include
+    branch."""
     nodes = 0
     chosen: list = []
     stack: list[int | None] = [0]  # the candidate index to go on from, or None: undo the newest choice
     while stack:
         idx = stack.pop()
         if idx is None:
-            session.pop()
+            pop()
             chosen.pop()
             continue
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"budget of {budget} calls exhausted")
-        while idx < len(candidates) and (edges := batch(chosen, candidates[idx])) is None:
+        while idx < len(candidates) and (kept := include(candidates[idx])) is None:
             idx += 1
         if idx == len(candidates):
             yield frozenset(chosen)
             continue
         stack.append(idx + 1)
-        if session.try_add(edges):
+        if kept:
             chosen.append(candidates[idx])
             stack += [None, idx + 1]
 
@@ -259,18 +245,18 @@ def _generalization(
     kind, family = strategy.split("-")
     if family == "star":
         session = PrestarSession(g, gen_language(StarGeneralization(w, frozenset())))
-        candidates, batch = _star_candidates(len(w)), _star_batches(w, session)
+        candidates, (include, pop) = _star_candidates(len(w)), _star_steps(w, session)
     else:
         session = PrestarSession(g, word_automaton(w))
-        candidates, batch = _eps_candidates(w), lambda chosen, c: c  # an epsilon candidate is its own batch
+        candidates, include, pop = _eps_candidates(w), session.try_add, session.pop  # each its own batch
     if session.intersects():  # the base saturation decides membership
         raise GrammarError("witness is in the language; it cannot be generalized")
     if kind == "greedy":
-        first = next(_walk(session, candidates, batch))  # left committed on the session
+        first = next(_walk(include, pop, candidates))  # left committed on the session
         return session.automaton(), first
     kept: list[frozenset] = []
     automata: list[Nfa] = []
-    for leaf in _walk(session, candidates, batch, budget):
+    for leaf in _walk(include, pop, candidates, budget):
         if not any(leaf <= other for other in kept):
             kept.append(leaf)
             automata.append(session.automaton())

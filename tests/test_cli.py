@@ -248,6 +248,11 @@ def test_readme_library_example_runs():
     assert run.stdout.startswith("Separable(")
 
 
+def test_every_option_has_help():
+    # --help describes every argument and option, not only its name
+    assert [a.dest for a in cli.build_parser()._actions if not a.help] == []
+
+
 def test_main_missing_file(capsys):
     code = main(["no-such-file.cfg"])
     assert code == EXIT_USAGE

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -282,39 +281,56 @@ def star_session_runs(draw):
     return random_cfg(rng), word, steps
 
 
+class _Recording:
+    """A session stand-in over ``base`` that records each batch tried on it,
+    answers with ``accept(batch)`` and pops with ``undo()``."""
+
+    def __init__(self, base, accept, undo=lambda: None):
+        self.base, self.accept, self.pop, self.batches = base, accept, undo, []
+
+    def try_add(self, edges):
+        self.batches.append(edges)
+        return self.accept(edges)
+
+
+def _base(word):
+    return gen_language(StarGeneralization(word, frozenset()))
+
+
 @given(star_session_runs())
 @settings(max_examples=150, deadline=None)
 def test_star_session_agrees_with_a_fresh_intersection(run):
     # every answer of a session over the position automaton, fed the batches
-    # of _star_batches, is the one a fresh emptiness test gives for the
+    # of _star_steps, is the one a fresh emptiness test gives for the
     # starred language, and a pop restores exactly the session before the
     # popped range
     g, word, steps = run
-    base = gen_language(StarGeneralization(word, frozenset()))
-    session = PrestarSession(g, base)
+    session = PrestarSession(g, _base(word))
     assert session.intersects() == in_language(g, word)
     if session.intersects():
         return
-    batch = refinement._star_batches(word, session)
+    spy = _Recording(session.base, session.try_add, session.pop)
+    include, pop = refinement._star_steps(word, spy)
     chosen: list[tuple[int, int]] = []
     before = []  # the session's state before each chosen range
-    for r, pop in steps:
+    for r, popped in steps:
         if r in chosen:
             continue  # the walk never tries these
-        edges = batch(chosen, r)
-        assert (edges is None) == any(_crosses(r, a) for a in chosen)
-        if edges is None:
-            continue
-        assert edges == _added_edges(word, chosen, r)
+        spy.batches.clear()
         state = saturation_state(session._sat)
-        expected = not intersects(g, gen_language(StarGeneralization(word, frozenset(chosen) | {r})))
-        assert session.try_add(edges) == expected
-        if expected:
+        kept = include(r)
+        assert (kept is None) == any(_crosses(r, a) for a in chosen)
+        if kept is None:
+            assert spy.batches == []
+            continue
+        assert spy.batches == [_added_edges(word, chosen, r)]
+        assert kept == (not intersects(g, gen_language(StarGeneralization(word, frozenset(chosen) | {r}))))
+        if kept:
             chosen.append(r)
             before.append(state)
         assert session.automaton() == gen_language(StarGeneralization(word, frozenset(chosen)))
-        if pop and chosen:  # as the maximal walks do between siblings
-            session.pop()
+        if popped and chosen:  # as the maximal walks do between siblings
+            pop()
             chosen.pop()
             assert saturation_state(session._sat) == before.pop()
             assert session.automaton() == gen_language(StarGeneralization(word, frozenset(chosen)))
@@ -324,34 +340,32 @@ def test_star_batches_are_the_added_edges_along_max_walks():
     # grammar-free: a session stand-in accepts at random, so the max walk's
     # order yields random include/pop sequences, and every batch must be the
     # edges that starring its range adds to the chosen ones
-    class RandomSession:
-        def __init__(self, base, rng):
-            self.base, self.rng = base, rng
-
-        def try_add(self, edges):
-            return self.rng.random() < 0.7
-
-        def pop(self):
-            pass
-
     rng = random.Random(23)
     batches = shared_starts = 0
     for _ in range(60):
         word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 10)))
-        session = RandomSession(gen_language(StarGeneralization(word, frozenset())), rng)
-        batch = refinement._star_batches(word, session)
+        session = _Recording(_base(word), lambda edges: rng.random() < 0.7)
+        include, pop = refinement._star_steps(word, session)
+        chosen: list[tuple[int, int]] = []
 
-        def checked(chosen, r):
+        def checked(r):
             nonlocal batches, shared_starts
-            edges = batch(chosen, r)
-            assert (edges is None) == any(_crosses(r, a) for a in chosen)
-            if edges is not None:
-                assert edges == _added_edges(word, chosen, r)
+            session.batches.clear()
+            kept = include(r)
+            assert (kept is None) == any(_crosses(r, a) for a in chosen)
+            if kept is not None:
+                assert session.batches == [_added_edges(word, chosen, r)]
                 batches += 1
                 shared_starts += any(a[0] == r[0] for a in chosen)
-            return edges
+            if kept:
+                chosen.append(r)
+            return kept
 
-        walk = refinement._walk(session, refinement._star_candidates(len(word)), checked)
+        def popped():
+            pop()
+            chosen.pop()
+
+        walk = refinement._walk(checked, popped, refinement._star_candidates(len(word)))
         for _ in itertools.islice(walk, 40):
             pass
     assert batches > 2000 and shared_starts > 1000
@@ -359,34 +373,79 @@ def test_star_batches_are_the_added_edges_along_max_walks():
 
 def test_star_batches_are_the_added_edges_in_any_order():
     # candidates in random order, so a chosen range may lie around the new
-    # one, with random commits and pops; a list of chosen ranges that is not
-    # what the calls batched is refused
+    # one, with random commits and pops
     rng = random.Random(29)
     batches = around = 0
     for _ in range(200):
         word = tuple(rng.choice("ab") for _ in range(rng.randint(1, 10)))
         spans = refinement._star_candidates(len(word))
-        batch = refinement._star_batches(word, SimpleNamespace(base=gen_language(StarGeneralization(word, frozenset()))))
+        session = _Recording(_base(word), lambda edges: rng.random() < 0.6)
+        include, pop = refinement._star_steps(word, session)
         chosen: list[tuple[int, int]] = []
         for _ in range(30):
             r = rng.choice(spans)
             if r in chosen:
                 continue
-            edges = batch(chosen, r)
-            assert (edges is None) == any(_crosses(r, a) for a in chosen)
-            if edges is not None:
-                assert edges == _added_edges(word, chosen, r)
+            session.batches.clear()
+            kept = include(r)
+            assert (kept is None) == any(_crosses(r, a) for a in chosen)
+            if kept is not None:
+                assert session.batches == [_added_edges(word, chosen, r)]
                 batches += 1
                 around += any(a[0] <= r[0] and r[1] <= a[1] for a in chosen)
-                if rng.random() < 0.6:
+                if kept:
                     chosen.append(r)
             while chosen and rng.random() < 0.3:
+                pop()
                 chosen.pop()
     assert batches > 2000 and around > 500
-    batch = refinement._star_batches(AAB, SimpleNamespace(base=gen_language(StarGeneralization(AAB, frozenset()))))
-    batch([], (0, 1))
-    with pytest.raises(ValueError):
-        batch([(1, 2)], (0, 3))
+
+
+def _fresh_batch(word, chosen, r):
+    """What ``include(r)`` answers and tries on fresh steps that included
+    ``chosen`` from scratch, on a stand-in session that keeps every batch."""
+    session = _Recording(_base(word), lambda edges: True)
+    include, _ = refinement._star_steps(word, session)
+    for a in chosen:
+        assert include(a)
+    session.batches.clear()
+    return include(r), session.batches
+
+
+def test_star_steps_pop_restores_the_table():
+    # random include/pop sequences: after every pop the next include tries
+    # the batch that steps built from scratch on the same ranges try, so a
+    # pop leaves no coverable gap and no held edge of the popped range behind
+    rng = random.Random(31)
+    pops = reincluded = 0
+    for _ in range(300):
+        word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 10)))
+        spans = refinement._star_candidates(len(word))
+        if not spans:
+            continue
+        session = _Recording(_base(word), lambda edges: rng.random() < 0.7)
+        include, pop = refinement._star_steps(word, session)
+        chosen: list[tuple[int, int]] = []
+        last = None  # the range popped last, until the next include
+        for _ in range(30):
+            if chosen and rng.random() < 0.35:
+                pop()
+                last = chosen.pop()
+                pops += 1
+                continue
+            r = last if last is not None and rng.random() < 0.5 else rng.choice(spans)
+            if r in chosen:
+                continue
+            session.batches.clear()
+            kept = include(r)
+            if last is not None:
+                fresh, batches = _fresh_batch(word, chosen, r)
+                assert (kept is None, session.batches) == (fresh is None, batches)
+                reincluded += r == last
+                last = None
+            if kept:
+                chosen.append(r)
+    assert pops > 1000 and reincluded > 300
 
 
 def _fixture_words_outside():
@@ -449,19 +508,19 @@ def _walk_leaves(g, w, family):
     reference automaton of a leaf, or None past a small budget."""
     if family == "star":
         session = PrestarSession(g, gen_language(StarGeneralization(w, frozenset())))
-        candidates, batch = refinement._star_candidates(len(w)), refinement._star_batches(w, session)
+        candidates, (include, pop) = refinement._star_candidates(len(w)), refinement._star_steps(w, session)
 
         def reference(ranges):
             return gen_language(StarGeneralization(w, ranges))
     else:
         session = PrestarSession(g, word_automaton(w))
-        candidates, batch = refinement._eps_candidates(w), lambda chosen, c: c
+        candidates, include, pop = refinement._eps_candidates(w), session.try_add, session.pop
 
         def reference(batches):
             base = session.base
             return Nfa(base.num_states, base.alphabet, base.transitions.union(*batches), base.initial, base.accepting)
     try:
-        return list(refinement._walk(session, candidates, batch, budget=3000)), reference
+        return list(refinement._walk(include, pop, candidates, budget=3000)), reference
     except BudgetExceededError:
         return None
 
@@ -590,7 +649,7 @@ def test_star_generalizers_run_on_one_session(monkeypatch):
             generalize(("b",), AIBI1)
 
 
-def test_star_batches_build_no_position_automaton(monkeypatch):
+def test_star_generalizers_build_only_the_base_position_automaton(monkeypatch):
     # the batches come from the coverability table and every leaf is read
     # off the session: a star generalization of any strategy builds only its
     # base position automaton
