@@ -3,7 +3,7 @@
 from .approximation import make_fa, nederhof, sigma_star, strongly_regular
 from .engine import Config, Overlap, Separable, Unknown, Verdict, check_disjoint, classify_witness
 from .grammar import Cfg, GrammarError, Production, Symbol, normalize, sccs
-from .grammar_io import ParseError, parse_file, parse_named, render
+from .grammar_io import ParseError, parse_file, parse_named
 from .nfa import (
     Nfa,
     complement,
@@ -14,7 +14,7 @@ from .nfa import (
     union,
     word_automaton,
 )
-from .prestar import PrestarSession, in_language, intersects, prestar
+from .prestar import PrestarSession, in_language, intersects
 from .refinement import (
     BudgetExceededError,
     StarGeneralization,
@@ -59,8 +59,6 @@ __all__ = [
     "normalize",
     "parse_file",
     "parse_named",
-    "prestar",
-    "render",
     "sccs",
     "sigma_star",
     "star_generalize",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .grammar import Cfg, GrammarError, Production, fresh_name, nt, t
+from .grammar import Cfg, GrammarError, Production, nt, t
 
 
 class ParseError(ValueError):
@@ -84,10 +84,9 @@ class _Parser:
         grammars: list[tuple[str, Cfg]] = []
         names: set[str] = set()
         while self.peek()[0] != "eof":
-            name, cfg = self.parse_grammar()
+            (_, name, line, col), cfg = self.parse_grammar()
             if name in names:
-                tok = self.peek()
-                raise ParseError(f"duplicate grammar name {name!r}", tok[2], tok[3])
+                raise ParseError(f"duplicate grammar name {name!r}", line, col)
             names.add(name)
             grammars.append((name, cfg))
         if not grammars:
@@ -95,9 +94,10 @@ class _Parser:
             raise ParseError("no grammars in file", tok[2], tok[3])
         return grammars
 
-    def parse_grammar(self) -> tuple[str, Cfg]:
+    def parse_grammar(self) -> tuple[tuple[str, str, int, int], Cfg]:
+        """The grammar's name token and its ``Cfg``."""
         self.take("ident", "grammar")
-        name = self.take("ident")[1]
+        name_tok = self.take("ident")
         self.take("punct", "{")
         self.take("ident", "start")
         start = self.take("ident")[1]
@@ -162,9 +162,8 @@ class _Parser:
         try:
             cfg = Cfg(tuple(variables), tuple(terminals), tuple(productions), start)
         except GrammarError as exc:
-            tok = self.peek()
-            raise ParseError(str(exc), tok[2], tok[3]) from exc
-        return name, cfg
+            raise ParseError(str(exc), name_tok[2], name_tok[3]) from exc
+        return name_tok, cfg
 
 
 def parse_named(text: str) -> list[tuple[str, Cfg]]:
@@ -175,66 +174,3 @@ def parse_named(text: str) -> list[tuple[str, Cfg]]:
 def parse_file(text: str) -> list[Cfg]:
     """The grammars of a file, in declaration order."""
     return [cfg for _, cfg in parse_named(text)]
-
-
-def _derivable(productions: tuple[Production, ...]) -> tuple[Production, ...]:
-    # alternatives using a nonterminal without productions derive no word, and
-    # the parser would reject the name: drop them, to a fixpoint
-    while True:
-        heads = {p.lhs for p in productions}
-        kept = tuple(p for p in productions if all(s.terminal or s.name in heads for s in p.rhs))
-        if kept == productions:
-            return kept
-        productions = kept
-
-
-def _spellings(g: Cfg) -> dict[str, str]:
-    """Each nonterminal's name in a file: its own if it is an identifier, else
-    a fresh ``N_k`` (a ``Cfg`` value may name one ``+_1``)."""
-    used = set(g.variables)
-    return {v: v if re.fullmatch(_IDENT, v) else fresh_name("N", used) for v in g.variables}
-
-
-def _quoted(terminal: str) -> str:
-    if not terminal or '"' in terminal or "\n" in terminal:
-        raise ValueError(f"terminal {terminal!r} cannot be written in a grammar file")
-    return f'"{terminal}"'
-
-
-def render(grammars: list[Cfg], names: list[str] | None = None) -> str:
-    """Grammar file text that parses back to language-identical grammars,
-    under ``names`` (default ``G1``, ``G2``, ...).
-    A nonterminal whose name is no identifier is renamed (``_spellings``).
-    ``ValueError`` is raised for an empty ``grammars``, since a file holds
-    at least one grammar, when ``names`` and ``grammars`` differ in length,
-    for a name that is no identifier or repeats an earlier one, and for a
-    terminal that is empty or holds ``"`` or a newline."""
-    if not grammars:
-        raise ValueError("no grammars to render")
-    if names is None:
-        names = [f"G{i + 1}" for i in range(len(grammars))]
-    if len(names) != len(grammars):
-        raise ValueError(f"{len(names)} names for {len(grammars)} grammars")
-    for i, name in enumerate(names):
-        if not re.fullmatch(_IDENT, name):
-            raise ValueError(f"grammar name {name!r} is not an identifier")
-        if name in names[:i]:
-            raise ValueError(f"duplicate grammar name {name!r}")
-    blocks = []
-    for name, g in zip(names, grammars):
-        spelled = _spellings(g)
-        lines = [f"grammar {name} {{", f"  start {spelled[g.start]};"]
-        by_lhs: dict[str, list[Production]] = {}
-        for p in _derivable(g.productions):
-            by_lhs.setdefault(p.lhs, []).append(p)
-        for lhs in g.variables:
-            if lhs not in by_lhs:
-                continue
-            alts = [
-                " ".join(_quoted(s.name) if s.terminal else spelled[s.name] for s in p.rhs)
-                for p in by_lhs[lhs]
-            ]
-            lines.append(f"  {spelled[lhs]} -> {' | '.join(alts)};")
-        lines.append("}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"

@@ -23,7 +23,7 @@ canonically. Reachability (``trim``, ``is_empty``) runs over list adjacency.
 
 Validation happens at the public boundary, where values come in from
 outside: ``Nfa(...)`` and ``dataclasses.replace`` check that alphabet symbols
-are unique, that the initial state, the accepting states and every
+are unique strings, that the initial state, the accepting states and every
 transition endpoint are in range, and that every label is epsilon or in the
 alphabet. A value whose states a kernel numbered itself is valid by
 construction and is built directly by ``_nfa``, which checks nothing.
@@ -47,6 +47,8 @@ class Nfa:
     accepting: frozenset[int]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(x, str) for x in self.alphabet):
+            raise ValueError("alphabet symbols must be strings")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet symbols must be unique")
         if not (0 <= self.initial < self.num_states):
@@ -364,15 +366,10 @@ def _product_rows(a: Nfa, b: Nfa) -> tuple[tuple[str, ...], list[list[int]], fro
     return alpha, rows, accepting
 
 
-def _product(a: Nfa, b: Nfa) -> Nfa:
-    """Untrimmed ``L(a) ∩ L(b)``: the pairs reached, in discovery order."""
-    return _from_rows(*_product_rows(a, b))
-
-
 def intersect(a: Nfa, b: Nfa) -> Nfa:
     """Product construction; recognizes ``L(a) ∩ L(b)``, trimmed. It walks
     the DFAs of ``_dfa``, so an NFA operand is determinized first."""
-    return trim(_product(a, b))
+    return trim(_from_rows(*_product_rows(a, b)))
 
 
 def union(*parts: Nfa) -> Nfa:

@@ -38,7 +38,7 @@ from collections import defaultdict
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .grammar import Cfg, GrammarError, Production, fresh_name, is_normal_form, normalize, nt
+from .grammar import Cfg, GrammarError, Production, fresh_name, normalize, nt
 from .nfa import Nfa, _nfa, eliminate_epsilon, word_automaton
 
 _EMPTY: frozenset[int] = frozenset()
@@ -224,24 +224,6 @@ class _Saturator:
         del self.journal[mark:]
         self.done = mark
         self.goal_met = not self.accepting.isdisjoint(by_start[self.initial][self.start])
-
-
-def prestar(g: Cfg, a: Nfa) -> Nfa:
-    """Saturated automaton recognizing the derivation predecessors of L(a).
-
-    ``g`` must already be in normal form, A -> XY | X | ε for any symbols X
-    and Y; states and transitions of ``a`` are preserved, and the result's
-    alphabet is extended with the grammar's nonterminals (a
-    nonterminal-labeled transition (q, A, q') records that A derives some
-    word read between q and q').
-    """
-    if not is_normal_form(g):
-        raise GrammarError("prestar requires a grammar in normal form")
-    sat = _Saturator(g, a)
-    sat.saturate()
-    alphabet = a.alphabet + tuple(v for v in g.variables if v not in set(a.alphabet))
-    transitions = a.transitions | frozenset(sat.journal)
-    return Nfa(a.num_states, alphabet, transitions, a.initial, a.accepting)
 
 
 def intersects(g: Cfg, a: Nfa) -> bool:

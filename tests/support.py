@@ -52,6 +52,26 @@ DEEP_CHAIN = (
 )
 
 
+def render(grammars: list[Cfg], names: list[str] | None = None) -> str:
+    """Grammar file text for ``grammars`` under ``names`` (default ``G1``,
+    ``G2``, ...). Nothing is renamed or checked, so every name and terminal
+    must be one the format can spell. A nonterminal without productions is
+    written ``X -> X;``, which declares it and derives no word."""
+    names = names or [f"G{i + 1}" for i in range(len(grammars))]
+    blocks = []
+    for name, g in zip(names, grammars):
+        lines = [f"grammar {name} {{", f"  start {g.start};"]
+        for v in g.variables:
+            alts = [
+                " ".join(f'"{s.name}"' if s.terminal else s.name for s in p.rhs)
+                for p in g.productions
+                if p.lhs == v
+            ]
+            lines.append(f"  {v} -> {' | '.join(alts or [v])};")
+        blocks.append("\n".join(lines) + "\n}\n")
+    return "\n".join(blocks)
+
+
 def words_upto(alphabet: tuple[str, ...], max_len: int):
     for n in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=n)

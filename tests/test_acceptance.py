@@ -8,7 +8,7 @@ from cflsep.approximation import nederhof, sigma_star
 from cflsep.engine import Config, Overlap, Separable, check_disjoint
 from cflsep.grammar import normalize
 from cflsep.nfa import difference, is_empty, word_automaton
-from cflsep.prestar import PrestarSession, in_language, intersects, prestar
+from cflsep.prestar import PrestarSession, _Saturator, in_language, intersects
 from cflsep.refinement import (
     eps_generalize,
     gen_language,
@@ -26,6 +26,7 @@ from oracles import (
     enumerate_words,
     equivalent,
     lit,
+    prestar_triples,
     regex_to_nfa,
     star,
     star_contractions,
@@ -99,10 +100,12 @@ def test_criterion_3_nederhof_approximation():
 
 
 def test_criterion_4_prestar_palindrome():
+    gn, abba = normalize(PALINDROME), word_automaton(("a", "b", "b", "a"))
     start = time.monotonic()
-    saturated = prestar(normalize(PALINDROME), word_automaton(("a", "b", "b", "a")))
-    ok = (0, "A", 4) in saturated.transitions
+    sat = _Saturator(gn, abba)
+    sat.saturate()
     elapsed = time.monotonic() - start
+    ok = (0, "A", 4) in sat.journal and set(sat.journal) == prestar_triples(gn, abba)
     report("4 pre-star palindrome", ok and elapsed < 1.0, f"{elapsed:.3f}s")
 
 

@@ -24,11 +24,11 @@ from cflsep.cli import (
 )
 from cflsep.engine import Overlap, Separable
 from cflsep.grammar import Cfg, Production, nt, t
-from cflsep.grammar_io import ParseError, parse_file, parse_named, render
+from cflsep.grammar_io import ParseError, parse_file, parse_named
 from cflsep.nfa import Nfa, difference, word_automaton
 
 from oracles import enumerate_words
-from support import DEEP_CHAIN, FIXTURES, LONG_RULE, NAME_CLASH, grammar, random_cfg
+from support import DEEP_CHAIN, FIXTURES, LONG_RULE, NAME_CLASH, grammar, random_cfg, render
 
 
 # --- parsing ------------------------------------------------------------------
@@ -53,6 +53,8 @@ def test_parse_empty_file():
     with pytest.raises(ParseError) as err:
         parse_file("   \n# nothing here\n")
     assert "no grammars" in str(err.value)
+    with pytest.raises(ParseError, match="no grammars in file"):
+        parse_named("\n")
 
 
 def test_parse_error_has_position():
@@ -73,6 +75,20 @@ def test_parse_duplicate_grammar_name():
     with pytest.raises(ParseError) as err:
         parse_file(text)
     assert "duplicate" in str(err.value)
+
+
+def test_grammar_level_errors_point_at_the_grammar_name():
+    # the duplicate name and the Cfg rejection are found after the block's
+    # "}", but they are reported at the name token
+    duplicate = 'grammar A { start S; S -> "a"; }\n\n  grammar A {\n start S; S -> "b";\n}\n'
+    overlap = '# a terminal spelled like a nonterminal\n grammar G { start S; S -> "S"; }\n'
+    for text, message, line, column in [
+        (duplicate, "duplicate grammar name 'A'", 3, 11),
+        (overlap, "namespaces overlap", 2, 10),
+    ]:
+        with pytest.raises(ParseError, match=message) as err:
+            parse_named(text)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_parse_multichar_terminals():
@@ -101,58 +117,6 @@ def test_render_round_trip_random():
         g = random_cfg(rng)
         (back,) = parse_file(render([g]))
         assert enumerate_words(g, 6) == enumerate_words(back, 6)
-
-
-def test_render_renames_nonterminals_that_are_no_identifiers():
-    # a Cfg value may name a nonterminal "+_1", which the format cannot spell
-    plus = (Production("S", (t("+"), nt("+_1"))), Production("+_1", (nt("S"), t("-"))))
-    g = Cfg(("S", "+_1"), ("+", "-", "x"), (*plus, Production("S", (t("x"),))), "S")
-    rng = random.Random(405)
-    renamed = 0
-    for _ in range(40):
-        gn = random_cfg(rng, alphabet=("+", "-", "a"), variables=("S", "+_1", "+_2"))
-        text = render([gn])
-        (back,) = parse_file(text)
-        assert enumerate_words(gn, 5) == enumerate_words(back, 5)
-        assert render([back]) == text
-        renamed += any(v not in back.variables for v in gn.variables)
-    assert renamed >= 10
-    (back,) = parse_file(render([g]))
-    assert enumerate_words(back, 5) == enumerate_words(g, 5)
-
-
-def test_render_rejects_a_terminal_the_format_cannot_spell():
-    for bad in ('say "hi"', "two\nlines", ""):
-        g = Cfg(("S",), (bad, "a"), (Production("S", (t("a"), t(bad))),), "S")
-        with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            render([g])
-
-
-def test_render_rejects_no_grammars():
-    # a file holds at least one grammar, so the empty text would not parse back
-    with pytest.raises(ParseError, match="no grammars in file"):
-        parse_named("\n")
-    with pytest.raises(ValueError, match="no grammars to render"):
-        render([])
-
-
-def test_render_rejects_names_that_do_not_match_its_grammars():
-    g = grammar('grammar G { start S; S -> "a"; }')
-    with pytest.raises(ValueError, match="1 names for 2 grammars"):
-        render([g, g], ["A"])
-
-
-def test_render_rejects_a_grammar_name_that_is_no_identifier():
-    g = grammar('grammar G { start S; S -> "a"; }')
-    for bad in ("my grammar", "", "1G", "A-B", '"G"'):
-        with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            render([g], [bad])
-
-
-def test_render_rejects_a_repeated_grammar_name():
-    g = grammar('grammar G { start S; S -> "a"; }')
-    with pytest.raises(ValueError, match="duplicate grammar name 'A'"):
-        render([g, g, g], ["A", "B", "A"])
 
 
 _TERMINALS = ("a", "b", "ab", "x_1", "if")

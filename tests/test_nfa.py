@@ -19,7 +19,7 @@ from cflsep.nfa import (
     _dfa,
     _from_rows,
     _merge_alphabets,
-    _product,
+    _product_rows,
     complement,
     determinize,
     difference,
@@ -83,6 +83,12 @@ BPLUS_OR_AB2 = hand_nfa(
     0,
     {1, 4},
 )
+
+
+def _product(a: Nfa, b: Nfa) -> Nfa:
+    """Untrimmed ``L(a) ∩ L(b)``: the pairs the product walk reaches, in
+    discovery order, with their rows recorded."""
+    return _from_rows(*_product_rows(a, b))
 
 
 def test_word_automaton_chain():
@@ -308,6 +314,8 @@ def test_nfa_validation():
         ({"initial": 2}, "initial state out of range"),
         ({"initial": -1}, "initial state out of range"),
         ({"alphabet": ("a", "a")}, "alphabet symbols must be unique"),
+        ({"alphabet": (None, "a")}, "alphabet symbols must be strings"),
+        ({"alphabet": ("a", 1)}, "alphabet symbols must be strings"),
         ({"transitions": frozenset({(0, "a", 2)})}, "transition endpoint out of range"),
         ({"transitions": frozenset({(-1, None, 1)})}, "transition endpoint out of range"),
         ({"accepting": frozenset({2})}, "accepting state out of range"),
