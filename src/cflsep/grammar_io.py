@@ -13,13 +13,23 @@ Terminals are double-quoted strings (so multi-character tokens are fine),
 nonterminals are bare identifiers, alternatives are separated by '|'. A
 nonterminal is declared by appearing as a left-hand side or as the start
 symbol; using any other identifier is an error.
+
+Lexical rules: a terminal is a non-empty quoted string with no ``"`` and no
+newline inside; an identifier matches ``[A-Za-z_][A-Za-z0-9_']*``; ``#``
+starts a comment that runs to the end of the line; any other character
+outside whitespace is an error. A ``ParseError`` gives a 1-based line and
+column: only ``\\n`` ends a line, and a tab is one column.
+
+The text is tokenized in one regex pass, and each token keeps only its
+offset; line and column are worked out from it when an error is raised. An
+unexpected character is reported before any error of the parser.
 """
 
 from __future__ import annotations
 
 import re
 
-from .grammar import Cfg, GrammarError, Production, nt, t
+from .grammar import Cfg, GrammarError, Production, Symbol, nt, t
 
 
 class ParseError(ValueError):
@@ -36,139 +46,136 @@ _TOKEN = re.compile(
       | (?P<arrow>->)
       | (?P<punct>[{};|])
       | (?P<string>"[^"\n]*")
-      | (?P<ident>""" + _IDENT + ")",
-    re.VERBOSE,
+      | (?P<ident>""" + _IDENT + r""")
+      | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
 )
 
+_Token = tuple[str, str, int]  # kind, text, offset
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
+
+def _error(text: str, message: str, offset: int) -> ParseError:
+    """A ``ParseError`` at ``text[offset]``, or at the end for ``len(text)``."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text`` without whitespace and comments, ending with an
+    ``eof`` token at ``len(text)``; the first unexpected character raises."""
+    tokens = [
+        (m.lastgroup, m.group(), m.start())
+        for m in _TOKEN.finditer(text)
+        if m.lastgroup != "ws" and m.lastgroup != "comment"
+    ]
+    for kind, value, offset in tokens:
+        if kind == "bad":
+            raise _error(text, f"unexpected character {value!r}", offset)
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _take(text: str, tok: _Token, kind: str, value: str | None = None) -> str:
+    """The text of ``tok``, which must be of ``kind`` (and spell ``value``)."""
+    if tok[0] != kind or (value is not None and tok[1] != value):
+        expected = value if value is not None else kind
+        raise _error(text, f"expected {expected!r}, found {tok[1] or 'end of file'!r}", tok[2])
+    return tok[1]
 
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.pos]
 
-    def take(self, kind: str, value: str | None = None) -> tuple[str, str, int, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            expected = value if value is not None else kind
-            raise ParseError(f"expected {expected!r}, found {tok[1] or 'end of file'!r}", tok[2], tok[3])
-        self.pos += 1
-        return tok
+def _parse_grammar(text: str, tokens: list[_Token], pos: int) -> tuple[_Token, Cfg, int]:
+    """The block at ``tokens[pos]``: its name token, its ``Cfg``, and the
+    position after its ``}``.
 
-    def parse(self) -> list[tuple[str, Cfg]]:
-        grammars: list[tuple[str, Cfg]] = []
-        names: set[str] = set()
-        while self.peek()[0] != "eof":
-            (_, name, line, col), cfg = self.parse_grammar()
-            if name in names:
-                raise ParseError(f"duplicate grammar name {name!r}", line, col)
-            names.add(name)
-            grammars.append((name, cfg))
-        if not grammars:
-            tok = self.peek()
-            raise ParseError("no grammars in file", tok[2], tok[3])
-        return grammars
+    Errors come in this order: the first syntax error of the block, then the
+    first empty terminal or undeclared nonterminal in it, then what ``Cfg``
+    rejects, reported at the name token. The checks read the block's tokens
+    in order, so each stops at the end-of-file token before running past it.
+    """
+    _take(text, tokens[pos], "ident", "grammar")
+    name_tok = tokens[pos + 1]
+    _take(text, name_tok, "ident")
+    _take(text, tokens[pos + 2], "punct", "{")
+    _take(text, tokens[pos + 3], "ident", "start")
+    start = _take(text, tokens[pos + 4], "ident")
+    _take(text, tokens[pos + 5], "punct", ";")
+    pos += 6
 
-    def parse_grammar(self) -> tuple[tuple[str, str, int, int], Cfg]:
-        """The grammar's name token and its ``Cfg``."""
-        self.take("ident", "grammar")
-        name_tok = self.take("ident")
-        self.take("punct", "{")
-        self.take("ident", "start")
-        start = self.take("ident")[1]
-        self.take("punct", ";")
-
-        raw_rules: list[tuple[str, list[list[tuple[str, str, int, int]]]]] = []
-        while not (self.peek()[0] == "punct" and self.peek()[1] == "}"):
-            lhs = self.take("ident")[1]
-            self.take("arrow")
-            alternatives: list[list[tuple[str, str, int, int]]] = [[]]
-            while True:
-                kind, value, line, col = self.peek()
-                if kind == "punct" and value == ";":
-                    self.pos += 1
-                    break
-                if kind == "punct" and value == "|":
-                    self.pos += 1
-                    alternatives.append([])
-                    continue
-                if kind == "string":
-                    self.pos += 1
-                    alternatives[-1].append(("t", value[1:-1], line, col))
-                    continue
-                if kind == "ident":
-                    self.pos += 1
-                    alternatives[-1].append(("nt", value, line, col))
-                    continue
-                raise ParseError(
-                    f"expected symbol, '|' or ';', found {value or 'end of file'!r}",
-                    line,
-                    col,
+    variables = {start: None}
+    terminals: dict[str, int] = {}  # in order of first use, at its offset
+    uses: dict[str, int] = {}  # each nonterminal used, at its first offset
+    symbols: dict[str, Symbol] = {}  # one value per spelling; terminals keep quotes
+    rules: list[tuple[str, list[list[Symbol]]]] = []
+    kind, value, offset = tokens[pos]
+    while kind != "punct" or value != "}":
+        lhs = _take(text, tokens[pos], "ident")
+        _take(text, tokens[pos + 1], "arrow")
+        pos += 2
+        variables[lhs] = None
+        rhs: list[Symbol] = []
+        alternatives = [rhs]
+        while True:
+            kind, value, offset = tokens[pos]
+            pos += 1
+            if kind == "string":
+                name = value[1:-1]
+                if name not in terminals:
+                    terminals[name] = offset
+                    symbols[value] = t(name)
+                rhs.append(symbols[value])
+            elif kind == "ident":
+                if value not in uses:
+                    uses[value] = offset
+                    symbols[value] = nt(value)
+                rhs.append(symbols[value])
+            elif kind == "punct" and value == ";":
+                break
+            elif kind == "punct" and value == "|":
+                rhs = []
+                alternatives.append(rhs)
+            else:
+                raise _error(
+                    text, f"expected symbol, '|' or ';', found {value or 'end of file'!r}", offset
                 )
-            raw_rules.append((lhs, alternatives))
-        self.take("punct", "}")
+        rules.append((lhs, alternatives))
+        kind, value, offset = tokens[pos]
+    pos += 1
 
-        declared = {start} | {lhs for lhs, _ in raw_rules}
-        variables: list[str] = [start]
-        terminals: list[str] = []
-        for lhs, alternatives in raw_rules:
-            if lhs not in variables:
-                variables.append(lhs)
-            for alt in alternatives:
-                for kind, value, line, col in alt:
-                    if kind == "t":
-                        if not value:
-                            raise ParseError("empty terminal string", line, col)
-                        if value not in terminals:
-                            terminals.append(value)
-                    elif value not in declared:
-                        raise ParseError(
-                            f"undeclared nonterminal {value!r}", line, col
-                        )
+    # offsets grow along the text, so the smallest is the first problem
+    problems = [
+        (off, f"undeclared nonterminal {name!r}") for name, off in uses.items() if name not in variables
+    ]
+    if "" in terminals:
+        problems.append((terminals[""], "empty terminal string"))
+    if problems:
+        offset, message = min(problems)
+        raise _error(text, message, offset)
 
-        productions = []
-        for lhs, alternatives in raw_rules:
-            for alt in alternatives:
-                rhs = tuple(
-                    t(value) if kind == "t" else nt(value)
-                    for kind, value, _, _ in alt
-                )
-                productions.append(Production(lhs, rhs))
-        try:
-            cfg = Cfg(tuple(variables), tuple(terminals), tuple(productions), start)
-        except GrammarError as exc:
-            raise ParseError(str(exc), name_tok[2], name_tok[3]) from exc
-        return name_tok, cfg
+    productions = tuple(
+        Production(lhs, tuple(rhs)) for lhs, alternatives in rules for rhs in alternatives
+    )
+    try:
+        cfg = Cfg(tuple(variables), tuple(terminals), productions, start)
+    except GrammarError as exc:
+        raise _error(text, str(exc), name_tok[2]) from exc
+    return name_tok, cfg, pos
 
 
 def parse_named(text: str) -> list[tuple[str, Cfg]]:
     """All grammars of a file, in declaration order, with their names."""
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    grammars: list[tuple[str, Cfg]] = []
+    names: set[str] = set()
+    pos = 0
+    while tokens[pos][0] != "eof":
+        (_, name, offset), cfg, pos = _parse_grammar(text, tokens, pos)
+        if name in names:
+            raise _error(text, f"duplicate grammar name {name!r}", offset)
+        names.add(name)
+        grammars.append((name, cfg))
+    if not grammars:
+        raise _error(text, "no grammars in file", tokens[pos][2])
+    return grammars
 
 
 def parse_file(text: str) -> list[Cfg]:

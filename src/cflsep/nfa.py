@@ -290,7 +290,10 @@ def _minimal(
                 stack.append(p)
     live = [q for q in range(len(rows)) if cls[q] >= 0]
     count = 1 + (0 < len(accepting) < len(live))
-    while live:  # split by the classes of the successors until stable
+    # split by the classes of the successors until stable; a partition with
+    # one class per live state cannot split further, so it needs no round
+    # to confirm it
+    while count < len(live):
         keys: dict[tuple[int, ...], int] = {}
         refined = cls[:]
         get = cls.__getitem__

@@ -12,12 +12,15 @@ compare the library with: automaton acceptance and bounded enumeration by
 subset simulation, language equivalence, the pairs of equivalent states
 of a DFA by table filling, the plain product construction, and bounded
 enumeration of a grammar's words;
-and a naive set-based pre* fixpoint that the saturation kernel is compared
-with triple for triple.
+a naive set-based pre* fixpoint that the saturation kernel is compared
+with triple for triple; and a grammar-file tokenizer that walks the text
+keeping a running line and column, against which the parser's token
+offsets and error positions are compared.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,6 +28,7 @@ from itertools import chain, combinations
 from typing import Iterable
 
 from cflsep.grammar import Cfg, GrammarError, normalize
+from cflsep.grammar_io import ParseError
 from cflsep.nfa import Nfa, complement, intersect, is_empty
 
 
@@ -455,3 +459,44 @@ def prestar_triples(gn: Cfg, a: Nfa) -> frozenset[tuple[int, str | None, int]]:
         if new <= triples:
             return frozenset(triples)
         triples |= new
+
+
+_TOKEN = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<arrow>->)
+      | (?P<punct>[{};|])
+      | (?P<string>"[^"\n]*")
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)""",
+    re.VERBOSE,
+)
+
+
+def reference_tokens(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of a grammar file as (kind, text, line, column), without
+    whitespace and comments, ending with ``("eof", "", line, column)``.
+
+    Matches one token at a time and keeps a running 1-based line and column
+    (only ``\\n`` ends a line); a character no token starts with raises
+    ``ParseError`` at its position.
+    """
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        value = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, value, line, col))
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            col = len(value) - value.rfind("\n")
+        else:
+            col += len(value)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens

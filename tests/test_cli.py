@@ -24,10 +24,10 @@ from cflsep.cli import (
 )
 from cflsep.engine import Overlap, Separable
 from cflsep.grammar import Cfg, Production, nt, t
-from cflsep.grammar_io import ParseError, parse_file, parse_named
+from cflsep.grammar_io import ParseError, _error, _tokenize, parse_file, parse_named
 from cflsep.nfa import Nfa, difference, word_automaton
 
-from oracles import enumerate_words
+from oracles import enumerate_words, reference_tokens
 from support import DEEP_CHAIN, FIXTURES, LONG_RULE, NAME_CLASH, grammar, random_cfg, render
 
 
@@ -79,15 +79,26 @@ def test_parse_duplicate_grammar_name():
 
 def test_grammar_level_errors_point_at_the_grammar_name():
     # the duplicate name and the Cfg rejection are found after the block's
-    # "}", but they are reported at the name token
+    # "}", but they are reported at the name token; the other rows pin where
+    # the parser and the tokenizer report, and which error wins: a syntax
+    # error over a later empty terminal, the first of an empty terminal and
+    # an undeclared nonterminal, an unexpected character over an earlier
+    # syntax error
     duplicate = 'grammar A { start S; S -> "a"; }\n\n  grammar A {\n start S; S -> "b";\n}\n'
     overlap = '# a terminal spelled like a nonterminal\n grammar G { start S; S -> "S"; }\n'
     for text, message, line, column in [
         (duplicate, "duplicate grammar name 'A'", 3, 11),
-        (overlap, "namespaces overlap", 2, 10),
+        (overlap, "terminal/nonterminal namespaces overlap: ['S']", 2, 10),
+        ('grammar G {\r\n  start S\r\n  S -> "a";\r\n}\r\n', "expected ';', found 'S'", 3, 3),
+        ('grammar G {\n  start S;\n  S -> "" S |', "expected symbol, '|' or ';', found 'end of file'", 3, 14),
+        ('grammar G { start S;\n  S -> "a" | "" U;\n}\n', "empty terminal string", 2, 14),
+        ('grammar G { start S;\n  S -> "a" | "b" T "a";\n  T -> U "";\n}\n', "undeclared nonterminal 'U'", 3, 8),
+        ('grammar G {\n\tstart S\n\tS -> "a" @;\n}\n', "unexpected character '@'", 3, 11),
+        ("# only a comment\n\n# and a trailing one", "no grammars in file", 3, 21),
     ]:
-        with pytest.raises(ParseError, match=message) as err:
+        with pytest.raises(ParseError) as err:
             parse_named(text)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
         assert (err.value.line, err.value.column) == (line, column)
 
 
@@ -155,14 +166,33 @@ def test_render_parses_back_to_the_same_names_and_languages(named):
         assert enumerate_words(g, 4) == enumerate_words(h, 4)
 
 
-_SOUP = ("grammar", "start", "{", "}", ";", "->", "|", '"a"', '"S"', '""', "S", "G", "#", "\n")
+_SOUP = (
+    "grammar", "start", "{", "}", ";", "->", "|", '"a"', '"S"', '""', "S", "G", "#", "\n",
+    "\t", "\r\n", "@", "é", '"a', "# c\n",
+)
 
 
 @given(st.lists(st.sampled_from(_SOUP), max_size=24))
 @settings(max_examples=100, deadline=None)
 def test_parse_token_soup_raises_only_parse_errors(tokens):
+    # the tokens and error positions agree with the line/column walker of
+    # the oracles, and an unexpected character is reported before any
+    # parser error
+    text = " ".join(["grammar", *tokens])
     try:
-        parse_named(" ".join(["grammar", *tokens]))
+        expected = reference_tokens(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parse_named(text)
+        assert (str(got.value), got.value.line, got.value.column) == (str(err), err.line, err.column)
+        return
+    positions = []
+    for kind, value, offset in _tokenize(text):
+        at = _error(text, "", offset)
+        positions.append((kind, value, at.line, at.column))
+    assert positions == expected
+    try:
+        parse_named(text)
     except ParseError:
         pass
 

@@ -670,6 +670,19 @@ def test_minimize_is_canonical():
         assert minimize(m) == m
 
 
+def test_minimize_stops_at_a_discrete_partition():
+    # a word over distinct letters: Moore's first round gives every state a
+    # class of its own, and the partition must stay as that round left it
+    word = tuple(f"x{i}" for i in range(40))
+    a = word_automaton(word)
+    m = minimize(a)
+    assert m == a and to_dot(m) == to_dot(a)
+    # with a tail of one repeated letter, the tail splits off one class per
+    # round until the partition is discrete
+    b = word_automaton(word + ("x0",) * 30)
+    assert minimize(b) == b and to_dot(minimize(b)) == to_dot(b)
+
+
 def test_minimize_records_the_rows_of_a_trimmed_value():
     for a in _dfas_and_products():
         m = minimize(a)
