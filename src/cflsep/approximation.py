@@ -32,8 +32,8 @@ def _block_kind(block: tuple[str, ...], prods: Iterable[Production]) -> str | No
 
     "flat": no member uses a member, so the block is not recursive.
     "left": members occur only first in a right-hand side (left-linear).
-    "right": members occur only last (right-linear).
-    "cyclic": members occur only alone, as unit productions.
+    "right": members occur only last (right-linear), which includes a block
+    whose members occur only alone, as unit productions.
     ``None``: some member occurs in non-first position and some member in
     non-last position, so the block is neither left- nor right-linear.
     """
@@ -50,7 +50,7 @@ def _block_kind(block: tuple[str, ...], prods: Iterable[Production]) -> str | No
         return "flat"
     if not_first and not_last:
         return None
-    return "left" if not_last else "right" if not_first else "cyclic"
+    return "left" if not_last else "right"
 
 
 def strongly_regular(g: Cfg) -> Cfg:
@@ -195,7 +195,7 @@ class _Builder:
                     else:
                         tasks.append((state_of[p.rhs[0].name], p.rhs, 1, state_of[c]))
             self.transitions.add((state_of[var], None, q1))
-        else:  # right or cyclic
+        else:  # right
             for c in block:
                 for p in self._by_lhs[c]:
                     if all(s.terminal or s.name not in members for s in p.rhs):
@@ -249,7 +249,7 @@ def make_fa(g: Cfg) -> Nfa:
     puts each member's state between the block's entry and exit: the
     member derives a word through a chain of members ending in a production
     that leaves the block, which links its state to the entry ("left") or
-    to the exit ("right", "cyclic"); and the member called uses it within
+    to the exit ("right"); and the member called uses it within
     the block, since members of a block reach one another, which links it
     to the other end. Otherwise the automaton is trimmed, which drops the
     states of unproductive nonterminals: ``S -> "b" | A; A -> "a" A;`` is

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .engine import ABSTRACTIONS, STRATEGIES, Config, Overlap, Separable, Unknown, check_disjoint
+from .engine import ABSTRACTIONS, STRATEGIES, Config, Overlap, Separable, Verdict, check_disjoint
 from .grammar import Cfg, GrammarError
 from .grammar_io import ParseError, parse_named
 from .nfa import Nfa, complement, intersect, is_empty, to_dot
@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=60.0,
         metavar="SECONDS",
-        help="wall clock, checked between refinement rounds; NaN or negative exits 3 "
+        help="wall clock, checked between refinement rounds and at every node of a "
+        "generalization walk; a subtraction can still run past it; NaN or negative exits 3 "
         "(default: %(default)s)",
     )
     parser.add_argument(
@@ -103,9 +104,7 @@ def _format_witness(word: tuple[str, ...]) -> str:
     return " ".join(word)
 
 
-def _validate_verdict(
-    verdict: Separable | Overlap | Unknown, grammars: list[Cfg]
-) -> str | None:
+def _validate_verdict(verdict: Verdict, grammars: list[Cfg]) -> str | None:
     """Re-check verdict validity; returns an error message on mismatch."""
     if isinstance(verdict, Overlap):
         for i, g in enumerate(grammars):
@@ -154,11 +153,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    deadline = time.monotonic() + args.timeout
-
-    def should_stop() -> str | None:
-        return "timeout" if time.monotonic() > deadline else None
-
     observer = None
     try:  # the only OSError here is --dump-approx failing to create or write
         if args.dump_approx:
@@ -170,7 +164,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     path = dump_dir / f"{name}-iter{iteration}.dot"
                     path.write_text(to_dot(approx, name=f"{name}_iter{iteration}"), encoding="utf-8")
 
-        verdict = check_disjoint(grammars, config, should_stop=should_stop, observer=observer)
+        verdict = check_disjoint(grammars, config, deadline=time.monotonic() + args.timeout, observer=observer)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

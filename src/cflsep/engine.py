@@ -13,8 +13,10 @@ choice and candidate orders are all fixed.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Literal, Sequence
 
 from .approximation import nederhof, sigma_star
 from .grammar import Cfg, GrammarError
@@ -61,7 +63,7 @@ class Overlap:
 
 @dataclass(frozen=True)
 class Unknown:
-    reason: str  # "iterations" | "budget" | "timeout"
+    reason: Literal["iterations", "budget", "timeout"]
     iterations: int
 
 
@@ -78,22 +80,23 @@ def classify_witness(w: Sequence[str], grammars: Sequence[Cfg]) -> list[bool]:
     return [in_language(g, word) for g in grammars]
 
 
-def _generalize(g: Cfg, w: tuple[str, ...], cfg: Config) -> Nfa:
-    return _generalization(g, w, cfg.strategy)[0]
+def _generalize(g: Cfg, w: tuple[str, ...], cfg: Config, deadline: float = math.inf) -> Nfa:
+    return _generalization(g, w, cfg.strategy, deadline=deadline)[0]
 
 
 def check_disjoint(
     grammars: Sequence[Cfg],
     cfg: Config = Config(),
-    should_stop: Callable[[], str | None] | None = None,
+    deadline: float = math.inf,
     observer: Callable[[int, Sequence[Nfa]], None] | None = None,
-) -> "Separable | Overlap | Unknown":
+) -> Verdict:
     """Decide whether the grammars' languages have a common word.
 
-    ``should_stop`` is polled between refinement rounds; a non-None return
-    value becomes the reason of an Unknown verdict (the CLI uses this for
-    its wall-clock timeout). ``observer`` sees the approximations at the
-    start of every round, for artifact dumping.
+    ``deadline``, a ``time.monotonic()`` reading, is checked at the top of
+    every round and at every node of a generalization walk; once it has
+    passed, the verdict is ``Unknown("timeout", k)`` for the k rounds done. A
+    subtraction can still run past it. ``observer`` sees the approximations
+    at the start of every round, for artifact dumping.
 
     Each round subtracts every distinct (approximation, generalization)
     pair once, and the grammars with that pair take the one result; under
@@ -112,10 +115,8 @@ def check_disjoint(
 
     refinements = 0
     while True:
-        if should_stop is not None:
-            reason = should_stop()
-            if reason is not None:
-                return Unknown(reason, refinements)
+        if time.monotonic() > deadline:
+            return Unknown("timeout", refinements)
         if observer is not None:
             observer(refinements, tuple(approxs))
         witness = _joint_witness(approxs, alphabet)
@@ -130,10 +131,10 @@ def check_disjoint(
         try:
             for i, inside in enumerate(membership):
                 if not inside:
-                    key = (approxs[i], _generalize(grammars[i], witness, cfg))
+                    key = (approxs[i], _generalize(grammars[i], witness, cfg, deadline))
                     if key not in subtracted:
                         subtracted[key] = difference(*key)
                     approxs[i] = subtracted[key]
-        except BudgetExceededError:
-            return Unknown("budget", refinements)
+        except BudgetExceededError:  # a walk gave up: its node budget or the deadline
+            return Unknown("timeout" if time.monotonic() > deadline else "budget", refinements)
         refinements += 1

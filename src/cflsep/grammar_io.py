@@ -15,14 +15,15 @@ nonterminal is declared by appearing as a left-hand side or as the start
 symbol; using any other identifier is an error.
 
 Lexical rules: a terminal is a non-empty quoted string with no ``"`` and no
-newline inside; an identifier matches ``[A-Za-z_][A-Za-z0-9_']*``; ``#``
+newline inside, so a ``"`` that none closes on its line is an unterminated
+terminal string; an identifier matches ``[A-Za-z_][A-Za-z0-9_']*``; ``#``
 starts a comment that runs to the end of the line; any other character
 outside whitespace is an error. A ``ParseError`` gives a 1-based line and
 column: only ``\\n`` ends a line, and a tab is one column.
 
 The text is tokenized in one regex pass, and each token keeps only its
-offset; line and column are worked out from it when an error is raised. An
-unexpected character is reported before any error of the parser.
+offset; line and column are worked out from it when an error is raised. A
+lexical error is reported before any error of the parser.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def _tokenize(text: str) -> list[_Token]:
     ]
     for kind, value, offset in tokens:
         if kind == "bad":
-            raise _error(text, f"unexpected character {value!r}", offset)
+            message = "unterminated terminal string" if value == '"' else f"unexpected character {value!r}"
+            raise _error(text, message, offset)
     tokens.append(("eof", "", len(text)))
     return tokens
 

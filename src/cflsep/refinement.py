@@ -27,6 +27,7 @@ decides whether the witness is in the language at all.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -39,7 +40,7 @@ DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceededError(RuntimeError):
-    """The exhaustive generalization exceeded its budget of visited nodes."""
+    """A generalization walk passed its budget of visited nodes or its deadline."""
 
 
 def _crosses(r1: tuple[int, int], r2: tuple[int, int]) -> bool:
@@ -193,18 +194,18 @@ def _star_steps(w: tuple[str, ...], session: PrestarSession) -> tuple[Callable, 
 
 
 def _walk(
-    include: Callable, pop: Callable, candidates: Sequence, budget: float = math.inf
+    include: Callable, pop: Callable, candidates: Sequence, budget: float = math.inf, deadline: float = math.inf
 ) -> Iterator[frozenset]:
     """Depth-first include/exclude walk over ``candidates``, include first,
     yielding the frozenset of the chosen candidates at each leaf: the first
     leaf is the greedy choice, left included. ``include(c)`` returns True
     when it keeps ``c``, False when it rejects it, and None when ``c`` is not
     tried, which gets no node; ``pop()`` undoes the newest kept candidate.
-    Nodes are counted against ``budget``. Candidates are distinct and the
-    choice only grows below an include, so no two nodes share choice and
-    position, and every strict superset of a leaf comes before it: at the
-    first candidate where the two differ, the superset takes the include
-    branch."""
+    A node past ``budget`` nodes, or past ``deadline`` on ``time.monotonic()``,
+    raises ``BudgetExceededError``. Candidates are distinct and the choice
+    only grows below an include, so no two nodes share choice and position,
+    and every strict superset of a leaf comes before it: at the first
+    candidate where the two differ, the superset takes the include branch."""
     nodes = 0
     chosen: list = []
     stack: list[int | None] = [0]  # the candidate index to go on from, or None: undo the newest choice
@@ -215,8 +216,8 @@ def _walk(
             chosen.pop()
             continue
         nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"budget of {budget} calls exhausted")
+        if nodes > budget or time.monotonic() > deadline:
+            raise BudgetExceededError(f"walk stopped at node {nodes}: budget {budget} or deadline passed")
         while idx < len(candidates) and (kept := include(candidates[idx])) is None:
             idx += 1
         if idx == len(candidates):
@@ -229,17 +230,17 @@ def _walk(
 
 
 def _generalization(
-    g: Cfg, w: Sequence[str], strategy: str, budget: int = DEFAULT_BUDGET
+    g: Cfg, w: Sequence[str], strategy: str, budget: int = DEFAULT_BUDGET, deadline: float = math.inf
 ) -> tuple[Nfa, frozenset]:
     """The generalization of ``w`` against ``L(g)`` under ``strategy``, one of
     ``engine.STRATEGIES``, and the first leaf of its walk.
 
     At a leaf the session holds exactly the leaf's batches, so its automaton
-    is the leaf's generalization. Greedy reads it at the first leaf, with no
-    budget; max at each leaf not inside a kept one, unioned in walk order,
-    which never depends on hashing. That is the union of every valid
-    generalization: a candidate only adds edges, and the walk yields a
-    leaf's strict supersets before it.
+    is the leaf's generalization. Greedy reads it at the first leaf, with
+    only ``deadline`` as a bound; max at each leaf not inside a kept one,
+    unioned in walk order, which never depends on hashing. That is the union
+    of every valid generalization: a candidate only adds edges, and the walk
+    yields a leaf's strict supersets before it.
     """
     w = tuple(w)
     kind, family = strategy.split("-")
@@ -252,11 +253,11 @@ def _generalization(
     if session.intersects():  # the base saturation decides membership
         raise GrammarError("witness is in the language; it cannot be generalized")
     if kind == "greedy":
-        first = next(_walk(include, pop, candidates))  # left committed on the session
+        first = next(_walk(include, pop, candidates, deadline=deadline))  # left committed on the session
         return session.automaton(), first
     kept: list[frozenset] = []
     automata: list[Nfa] = []
-    for leaf in _walk(include, pop, candidates, budget):
+    for leaf in _walk(include, pop, candidates, budget, deadline):
         if not any(leaf <= other for other in kept):
             kept.append(leaf)
             automata.append(session.automaton())

@@ -478,7 +478,8 @@ def reference_tokens(text: str) -> list[tuple[str, str, int, int]]:
 
     Matches one token at a time and keeps a running 1-based line and column
     (only ``\\n`` ends a line); a character no token starts with raises
-    ``ParseError`` at its position.
+    ``ParseError`` at its position, as an unterminated terminal string when
+    it is a ``"``.
     """
     tokens = []
     line, col = 1, 1
@@ -486,7 +487,8 @@ def reference_tokens(text: str) -> list[tuple[str, str, int, int]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            message = "unterminated terminal string" if text[pos] == '"' else f"unexpected character {text[pos]!r}"
+            raise ParseError(message, line, col)
         kind = m.lastgroup
         value = m.group()
         if kind not in ("ws", "comment"):

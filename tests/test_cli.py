@@ -83,7 +83,8 @@ def test_grammar_level_errors_point_at_the_grammar_name():
     # the parser and the tokenizer report, and which error wins: a syntax
     # error over a later empty terminal, the first of an empty terminal and
     # an undeclared nonterminal, an unexpected character over an earlier
-    # syntax error
+    # syntax error, and a quote left open, on its line or up to a newline,
+    # as an unterminated terminal string
     duplicate = 'grammar A { start S; S -> "a"; }\n\n  grammar A {\n start S; S -> "b";\n}\n'
     overlap = '# a terminal spelled like a nonterminal\n grammar G { start S; S -> "S"; }\n'
     for text, message, line, column in [
@@ -94,6 +95,8 @@ def test_grammar_level_errors_point_at_the_grammar_name():
         ('grammar G { start S;\n  S -> "a" | "" U;\n}\n', "empty terminal string", 2, 14),
         ('grammar G { start S;\n  S -> "a" | "b" T "a";\n  T -> U "";\n}\n', "undeclared nonterminal 'U'", 3, 8),
         ('grammar G {\n\tstart S\n\tS -> "a" @;\n}\n', "unexpected character '@'", 3, 11),
+        ('grammar G { start S; S -> "a ; }', "unterminated terminal string", 1, 27),
+        ('grammar G { start S;\n  S -> "a\n" | "b"; }\n', "unterminated terminal string", 2, 8),
         ("# only a comment\n\n# and a trailing one", "no grammars in file", 3, 21),
     ]:
         with pytest.raises(ParseError) as err:

@@ -109,10 +109,40 @@ def test_budget_exhaustion_yields_unknown(monkeypatch):
     assert verdict.reason == "budget"
 
 
-def test_should_stop_timeout():
+def test_past_deadline_times_out():
     c2 = grammar('grammar C2 { start S; S -> "a" S "a" | "b" S "b" | "c"; }')
-    verdict = check_disjoint([c2, C4], should_stop=lambda: "timeout")
+    verdict = check_disjoint([c2, C4], deadline=time.monotonic() - 1.0)
     assert verdict == Unknown("timeout", 0)
+
+
+@pytest.mark.parametrize(
+    "strategy, stop_round, stop_at", [("max-eps", 8, 1000), ("greedy-eps", 19, 50), ("greedy-star", 22, 20)]
+)
+def test_deadline_stops_a_generalization_walk(monkeypatch, strategy, stop_round, stop_at):
+    # a clock that passes the deadline at the stop_at-th candidate of round
+    # stop_round stops the walk at its next node, and the verdict counts the
+    # rounds completed. On c2c4, round 8's max-eps walk runs past its
+    # 10^6-node budget, and the greedy rounds try 112 and 36 candidates.
+    grammars = load_fixture("c2c4.cfg")
+    now, tried, rounds = [0.0], [0], []
+    try_add = PrestarSession.try_add
+
+    def counted(session, batch):
+        tried[0] += 1
+        if len(rounds) == stop_round + 1 and tried[0] - rounds[stop_round] == stop_at:
+            now[0] = 2.0
+        return try_add(session, batch)
+
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(PrestarSession, "try_add", counted)
+    verdict = check_disjoint(
+        grammars,
+        Config("sigma-star", strategy),
+        deadline=1.0,
+        observer=lambda iteration, approxs: rounds.append(tried[0]),
+    )
+    assert verdict == Unknown("timeout", stop_round)
+    assert tried[0] - rounds[stop_round] == stop_at < refinement.DEFAULT_BUDGET
 
 
 def test_observer_sees_monotone_tightening():
