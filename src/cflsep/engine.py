@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 from .approximation import nederhof, sigma_star
@@ -24,47 +23,61 @@ from .nfa import Nfa, difference
 from .nfa import shortest_common_word as _joint_witness  # the per-round witness search
 from .prestar import in_language
 from .refinement import BudgetExceededError, _generalization
+from .value import Value
 
 ABSTRACTIONS = ("sigma-star", "nederhof")
 STRATEGIES = ("greedy-star", "greedy-eps", "max-star", "max-eps")
 
 
-@dataclass(frozen=True)
-class Config:
-    abstraction: str = "nederhof"
-    strategy: str = "greedy-eps"
-    max_refinements: int = 100
+class Config(Value):
+    abstraction: str
+    strategy: str
+    max_refinements: int
 
-    def __post_init__(self) -> None:
-        if self.abstraction not in ABSTRACTIONS:
-            raise ValueError(f"unknown abstraction {self.abstraction!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.max_refinements < 1:
+    def __init__(
+        self, abstraction: str = "nederhof", strategy: str = "greedy-eps", max_refinements: int = 100
+    ) -> None:
+        if abstraction not in ABSTRACTIONS:
+            raise ValueError(f"unknown abstraction {abstraction!r}")
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        if max_refinements < 1:
             raise ValueError("max_refinements must be at least 1")
+        object.__setattr__(self, "abstraction", abstraction)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "max_refinements", max_refinements)
 
 
-@dataclass(frozen=True)
-class Separable:
+class Separable(Value):
     """The approximations form a separating family: joint product is empty.
     Grammars whose approximations are equal may hold one shared value."""
 
     approximations: tuple[Nfa, ...]
     iterations: int
 
+    def __init__(self, approximations: tuple[Nfa, ...], iterations: int) -> None:
+        object.__setattr__(self, "approximations", approximations)
+        object.__setattr__(self, "iterations", iterations)
 
-@dataclass(frozen=True)
-class Overlap:
+
+class Overlap(Value):
     """The witness belongs to every input language."""
 
     witness: tuple[str, ...]
     iterations: int
 
+    def __init__(self, witness: tuple[str, ...], iterations: int) -> None:
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "iterations", iterations)
 
-@dataclass(frozen=True)
-class Unknown:
+
+class Unknown(Value):
     reason: Literal["iterations", "budget", "timeout"]
     iterations: int
+
+    def __init__(self, reason: Literal["iterations", "budget", "timeout"], iterations: int) -> None:
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "iterations", iterations)
 
 
 Verdict = Separable | Overlap | Unknown

@@ -9,19 +9,22 @@ it with lives in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .value import Value
 
 
 class GrammarError(ValueError):
     """A grammar or word violates a structural precondition."""
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(Value):
     """One grammar symbol. ``terminal`` distinguishes the two namespaces."""
 
     name: str
     terminal: bool
+
+    def __init__(self, name: str, terminal: bool) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "terminal", terminal)
 
     def __repr__(self) -> str:
         return f'"{self.name}"' if self.terminal else self.name
@@ -35,18 +38,20 @@ def nt(name: str) -> Symbol:
     return Symbol(name, False)
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(Value):
     lhs: str
     rhs: tuple[Symbol, ...]
+
+    def __init__(self, lhs: str, rhs: tuple[Symbol, ...]) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __repr__(self) -> str:
         body = " ".join(repr(s) for s in self.rhs) if self.rhs else "<empty>"
         return f"{self.lhs} -> {body}"
 
 
-@dataclass(frozen=True)
-class Cfg:
+class Cfg(Value):
     """A context-free grammar.
 
     ``variables`` and ``terminals`` are stored as tuples to preserve the
@@ -60,35 +65,44 @@ class Cfg:
     productions: tuple[Production, ...]
     start: str
 
-    def __post_init__(self) -> None:
-        vset, tset = set(self.variables), set(self.terminals)
-        if len(vset) != len(self.variables) or len(tset) != len(self.terminals):
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        terminals: tuple[str, ...],
+        productions: tuple[Production, ...],
+        start: str,
+    ) -> None:
+        vset, tset = set(variables), set(terminals)
+        if len(vset) != len(variables) or len(tset) != len(terminals):
             raise GrammarError("duplicate symbol declarations")
         if vset & tset:
             raise GrammarError(
                 f"terminal/nonterminal namespaces overlap: {sorted(vset & tset)}"
             )
-        if self.start not in vset:
-            raise GrammarError(f"start symbol {self.start!r} is not a variable")
-        for prod in self.productions:
+        if start not in vset:
+            raise GrammarError(f"start symbol {start!r} is not a variable")
+        for prod in productions:
             if prod.lhs not in vset:
                 raise GrammarError(f"production lhs {prod.lhs!r} is not a variable")
             for sym in prod.rhs:
                 pool = tset if sym.terminal else vset
                 if sym.name not in pool:
                     raise GrammarError(f"undeclared symbol {sym!r} in {prod!r}")
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terminals", terminals)
+        object.__setattr__(self, "productions", productions)
+        object.__setattr__(self, "start", start)
 
     def __hash__(self) -> int:  # hashed once: grammar values key prestar's rule index
         if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = hash((self.variables, self.terminals, self.productions, self.start))
+            self.__dict__["_hash"] = super().__hash__()
         return self.__dict__["_hash"]
 
     def __getstate__(self) -> dict:  # a hash is only valid in the process that made it
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
-@dataclass(frozen=True)
-class SccPartition:
+class SccPartition(Value):
     """Partition of the nonterminals into mutually recursive blocks.
 
     ``blocks`` are ordered tuples (member order follows the grammar's
@@ -99,6 +113,10 @@ class SccPartition:
 
     blocks: tuple[tuple[str, ...], ...]
     index: dict[str, int]
+
+    def __init__(self, blocks: tuple[tuple[str, ...], ...], index: dict[str, int]) -> None:
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "index", index)
 
 
 def fresh_name(base: str, used: set[str]) -> str:

@@ -22,46 +22,60 @@ a set, so no result follows the hash-seeded order of the transitions.
 canonically. Reachability (``trim``, ``is_empty``) runs over list adjacency.
 
 Validation happens at the public boundary, where values come in from
-outside: ``Nfa(...)`` and ``dataclasses.replace`` check that alphabet symbols
-are unique strings, that the initial state, the accepting states and every
+outside: the constructor ``Nfa(...)`` checks that alphabet symbols are
+unique strings, that the initial state, the accepting states and every
 transition endpoint are in range, and that every label is epsilon or in the
-alphabet. A value whose states a kernel numbered itself is valid by
-construction and is built directly by ``_nfa``, which checks nothing.
+alphabet, and records nothing: a value rebuilt through it from another's
+fields is checked again and drops the other's rows. A value whose states a
+kernel numbered itself is valid by construction and is built directly by
+``_nfa``, which checks nothing.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import contains
 from typing import Iterable, Sequence
 
+from .value import Value
 
-@dataclass(frozen=True)
-class Nfa:
+
+class Nfa(Value):
     num_states: int
     alphabet: tuple[str, ...]
     transitions: frozenset[tuple[int, str | None, int]]
     initial: int
     accepting: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(x, str) for x in self.alphabet):
+    def __init__(
+        self,
+        num_states: int,
+        alphabet: tuple[str, ...],
+        transitions: frozenset[tuple[int, str | None, int]],
+        initial: int,
+        accepting: frozenset[int],
+    ) -> None:
+        if not all(isinstance(x, str) for x in alphabet):
             raise ValueError("alphabet symbols must be strings")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet symbols must be unique")
-        if not (0 <= self.initial < self.num_states):
+        if not (0 <= initial < num_states):
             raise ValueError("initial state out of range")
-        symbols = set(self.alphabet)
-        for q, x, r in self.transitions:
-            if not (0 <= q < self.num_states and 0 <= r < self.num_states):
+        symbols = set(alphabet)
+        for q, x, r in transitions:
+            if not (0 <= q < num_states and 0 <= r < num_states):
                 raise ValueError(f"transition endpoint out of range: {(q, x, r)}")
             if x is not None and x not in symbols:
                 raise ValueError(f"transition label {x!r} not in alphabet")
-        for q in self.accepting:
-            if not (0 <= q < self.num_states):
+        for q in accepting:
+            if not (0 <= q < num_states):
                 raise ValueError("accepting state out of range")
+        object.__setattr__(self, "num_states", num_states)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "accepting", accepting)
 
     @property
     def states(self) -> range:
@@ -78,9 +92,9 @@ def _nfa(
     initial: int,
     accepting: frozenset[int],
 ) -> Nfa:
-    """An ``Nfa`` set up without the checks of ``__post_init__``, for kernels
-    whose output is valid by construction. It sets the fields the way the
-    frozen dataclass's own ``__init__`` does, and records nothing else."""
+    """An ``Nfa`` set up without the checks of ``Nfa.__init__``, for kernels
+    whose output is valid by construction. It sets the fields the way that
+    ``__init__`` does after its checks, and records nothing else."""
     a = object.__new__(Nfa)
     object.__setattr__(a, "num_states", num_states)
     object.__setattr__(a, "alphabet", alphabet)

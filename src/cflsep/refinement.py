@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .grammar import Cfg, GrammarError
 from .nfa import Nfa, _nfa, union, word_automaton
 from .prestar import PrestarSession
 from .prestar import intersects  # noqa: F401  unused; bench/tracer.py patches refinement.intersects
+from .value import Value
 
 DEFAULT_BUDGET = 10**6
 
@@ -48,22 +48,21 @@ def _crosses(r1: tuple[int, int], r2: tuple[int, int]) -> bool:
     return i < i2 < j < j2 or i2 < i < j2 < j
 
 
-@dataclass(frozen=True)
-class StarGeneralization:
+class StarGeneralization(Value):
     """A word plus the starred index ranges; ranges are nested or disjoint."""
 
     word: tuple[str, ...]
     ranges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        n = len(self.word)
-        for i, j in self.ranges:
+    def __init__(self, word: tuple[str, ...], ranges: frozenset[tuple[int, int]]) -> None:
+        n = len(word)
+        for i, j in ranges:
             if not (0 <= i < j <= n):
                 raise GrammarError(f"range {(i, j)} out of bounds for length {n}")
         # one sweep by (start, -end): the ranges open at a start are nested,
         # innermost last, and a range crosses one exactly if it ends after that
         open_ranges: list[tuple[int, int]] = []
-        for i, j in sorted(self.ranges, key=lambda r: (r[0], -r[1])):
+        for i, j in sorted(ranges, key=lambda r: (r[0], -r[1])):
             while open_ranges and open_ranges[-1][1] <= i:
                 open_ranges.pop()
             if open_ranges and open_ranges[-1][1] < j:
@@ -72,6 +71,8 @@ class StarGeneralization:
                     "star ranges must be nested or disjoint"
                 )
             open_ranges.append((i, j))
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "ranges", ranges)
 
 
 def gen_language(sg: StarGeneralization) -> Nfa:

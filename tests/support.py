@@ -72,6 +72,14 @@ def render(grammars: list[Cfg], names: list[str] | None = None) -> str:
     return "\n".join(blocks)
 
 
+def rebuild(value, **changes):
+    """``value`` built anew through its class's public constructor, with
+    ``changes`` to its fields: the constructor checks the result again, and
+    the result records nothing that ``value`` recorded."""
+    fields = {name: getattr(value, name) for name in type(value).__match_args__}
+    return type(value)(**{**fields, **changes})
+
+
 def words_upto(alphabet: tuple[str, ...], max_len: int):
     for n in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=n)

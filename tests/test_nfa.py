@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import os
 import pickle
 import random
@@ -55,7 +54,7 @@ from oracles import (
     regex_to_nfa,
     star,
 )
-from support import FIXTURES, hand_nfa, load_fixture, random_cfg, random_nfa, words_upto
+from support import FIXTURES, hand_nfa, load_fixture, random_cfg, random_nfa, rebuild, words_upto
 
 SIGMA_STAR = hand_nfa(1, ("a", "b"), {(0, "a", 0), (0, "b", 0)}, 0, {0})
 
@@ -306,8 +305,8 @@ def test_to_dot_quotes_a_name_only_when_it_is_no_dot_id():
 
 
 def test_nfa_validation():
-    # every check of Nfa(...), each also through dataclasses.replace: values
-    # from outside come in there, and kernels build theirs without checks
+    # every check of Nfa(...), positionally and through a keyword rebuild:
+    # values from outside come in there, and kernels build theirs without checks
     valid = Nfa(2, ("a",), frozenset({(0, "a", 1)}), 0, frozenset({1}))
     invalid = [
         ({"transitions": frozenset({(0, "b", 1)})}, "label 'b' not in alphabet"),
@@ -322,11 +321,10 @@ def test_nfa_validation():
         ({"accepting": frozenset({-1})}, "accepting state out of range"),
     ]
     for change, message in invalid:
-        fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(Nfa)}
         with pytest.raises(ValueError, match=message):
-            Nfa(**{**fields, **change})
+            Nfa(*(change.get(name, getattr(valid, name)) for name in Nfa.__match_args__))
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(valid, **change)
+            rebuild(valid, **change)
 
 
 @st.composite
@@ -452,10 +450,10 @@ def test_replace_yields_an_unmarked_value():
     for a in _sample_automata():
         t = trim(a)
         t.has_epsilon()
-        same = dataclasses.replace(t)
+        same = rebuild(t)
         assert same == t and _marks(same) == {}
         # a stale mark would hand back a value that is no longer trim
-        emptied = dataclasses.replace(t, accepting=frozenset())
+        emptied = rebuild(t, accepting=frozenset())
         assert _marks(emptied) == {}
         assert trim(emptied).num_states == 1
 
@@ -494,9 +492,9 @@ def test_replace_drops_rows_while_pickle_and_copy_keep_them():
             for clone in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
                 assert clone == v and hash(clone) == hash(v)
                 assert _marks(clone) == _marks(v) and "_rows" in _marks(clone), name
-            assert _marks(dataclasses.replace(v)) == {}
+            assert _marks(rebuild(v)) == {}
             # stale rows would still walk the edges that were taken away
-            emptied = dataclasses.replace(v, transitions=frozenset())
+            emptied = rebuild(v, transitions=frozenset())
             assert _dfa(emptied, v.alphabet)[1] == [[-1] * len(v.alphabet)] * v.num_states
             assert shortest_common_word([emptied], v.alphabet) in (None, ())
 
@@ -553,7 +551,7 @@ def test_has_epsilon_reads_rows_or_scans():
     assert eliminate_epsilon(b) is b
     # a value with rows is an epsilon-free DFA: its transitions are not read
     c = complement(a)
-    assert not c.has_epsilon() and not dataclasses.replace(c).has_epsilon()
+    assert not c.has_epsilon() and not rebuild(c).has_epsilon()
     hollow = copy.copy(c)
     object.__setattr__(hollow, "transitions", None)
     assert not hollow.has_epsilon()
@@ -573,7 +571,7 @@ def test_intersect_and_complement_build_epsilon_free_values():
             for clone in (pickle.loads(pickle.dumps(out)), copy.copy(out), copy.deepcopy(out)):
                 assert clone == out and hash(clone) == hash(out)
                 assert _marks(clone) == _marks(out)
-            assert _marks(dataclasses.replace(out)) == {}
+            assert _marks(rebuild(out)) == {}
 
 
 def test_complement_recognizes_the_complement_with_a_sink():
@@ -740,7 +738,7 @@ def test_difference_is_a_function_of_values():
         results = [
             difference(x, y)
             for x in (a, _fresh(a))
-            for y in (b, dataclasses.replace(b))
+            for y in (b, rebuild(b))
         ]
         assert all(d == results[0] for d in results)
         assert len({to_dot(d) for d in results}) == 1

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,8 @@ from cflsep.refinement import gen_language, StarGeneralization
 
 from oracles import accepts, enumerate_accepted, enumerate_words, prestar_triples
 from support import (
-    AIBI1, FIXTURES, NAME_CLASH, PALINDROME, grammar, hand_nfa, random_cfg, random_nfa, saturation_state
+    AIBI1, FIXTURES, NAME_CLASH, PALINDROME, grammar, hand_nfa, random_cfg, random_nfa, rebuild,
+    saturation_state
 )
 
 ABBA = word_automaton(("a", "b", "b", "a"))
@@ -235,7 +235,7 @@ def test_rejected_edge_stops_before_the_fixpoint_and_reverts_exactly(monkeypatch
     # the fixpoint with the rejected edge holds more triples than were derived
     rejected = session.automaton()
     full = _Saturator(
-        session.grammar, replace(rejected, transitions=rejected.transitions | {(1, "b", 0)}), context=True
+        session.grammar, rebuild(rejected, transitions=rejected.transitions | {(1, "b", 0)}), context=True
     )
     full.saturate()
     assert derived < len(full.journal)
@@ -367,7 +367,7 @@ def test_try_add_agrees_with_a_fresh_intersection(run):
     for edge, pop in steps:
         a = session.automaton()
         state = saturation_state(session._sat)
-        expected = not intersects(g, replace(a, transitions=a.transitions | {edge}))
+        expected = not intersects(g, rebuild(a, transitions=a.transitions | {edge}))
         assert session.try_add([edge]) == expected
         if expected:
             before.append((state, a))
@@ -457,7 +457,7 @@ def test_batches_over_a_base_automaton_are_all_or_nothing():
     # a backward epsilon edge is no epsilon-generalization shape; the session
     # decides it as any other edge
     backward = [(2, None, 1)]
-    expected = not intersects(AIBI1, replace(base, transitions=base.transitions | {(0, None, 1), (2, None, 1)}))
+    expected = not intersects(AIBI1, rebuild(base, transitions=base.transitions | {(0, None, 1), (2, None, 1)}))
     assert session.try_add(backward) == expected
     with pytest.raises(GrammarError):
         session.try_add([(0, None, 4)])  # no state 4

@@ -1,10 +1,15 @@
-"""The runtime depends on the standard library alone."""
+"""The runtime depends on the standard library alone, and importing it
+loads none of the machinery behind ``dataclasses``."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cflsep"
+
+# dataclasses and the modules it pulls in: a fixed cost of every cflsep command
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def _absolute_imports(tree: ast.AST) -> list[str]:
@@ -36,3 +41,15 @@ def test_the_guard_sees_a_foreign_import():
     assert [n for n in names if n.partition(".")[0] not in sys.stdlib_module_names] == [
         "numpy.linalg", "hypothesis"
     ]
+
+
+def test_import_loads_no_dataclasses_machinery():
+    # a fresh isolated interpreter, so that nothing the test run imported counts
+    probe = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import cflsep; "
+        f"print(cflsep.__file__); print(*[m for m in {HEAVY!r} if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True, timeout=60
+    ).stdout.splitlines()
+    assert out == [str(PACKAGE / "__init__.py"), ""]
