@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .grammar import Cfg, Production, Symbol, fresh_name, nt, sccs
-from .nfa import Nfa, _nfa, trim
+from .nfa import Nfa, _from_rows, _stored, trim
 
 
 class ApproximationError(ValueError):
@@ -21,10 +21,10 @@ class ApproximationError(ValueError):
 
 
 def sigma_star(alphabet: tuple[str, ...] | list[str]) -> Nfa:
-    """Single-state automaton accepting every word over ``alphabet``."""
+    """Single-state automaton accepting every word over ``alphabet``, stored
+    as its one row."""
     alpha = tuple(dict.fromkeys(alphabet))
-    transitions = frozenset((0, sym, 0) for sym in alpha)
-    return _nfa(1, alpha, transitions, 0, frozenset({0}))
+    return _from_rows(alpha, [[0] * len(alpha)], frozenset({0}))
 
 
 def _block_kind(block: tuple[str, ...], prods: Iterable[Production]) -> str | None:
@@ -236,9 +236,9 @@ def make_fa(g: Cfg) -> Nfa:
     Raises ``ApproximationError`` when a reachable recursive block is neither
     left- nor right-linear. Recursion is closed through one state per block
     member: "left" blocks hook the member state to the caller's final state,
-    "right" and "cyclic" blocks hook the caller's initial state to the
-    member state. Each encounter of a recursive nonterminal instantiates the
-    block afresh, which is finite because the block condensation is acyclic.
+    "right" blocks hook the caller's initial state to the member state. Each
+    encounter of a recursive nonterminal instantiates the block afresh,
+    which is finite because the block condensation is acyclic.
 
     When every nonterminal of ``g`` is productive, the builder makes no
     useless state, so its automaton is returned as built: ``trim`` would
@@ -254,14 +254,20 @@ def make_fa(g: Cfg) -> Nfa:
     to the other end. Otherwise the automaton is trimmed, which drops the
     states of unproductive nonterminals: ``S -> "b" | A; A -> "a" A;`` is
     a valid grammar.
+
+    An automaton that is an epsilon-free DFA (the 2^d-state automaton of
+    the DAG grammar Nᵢ → Nᵢ₊₁ Nᵢ₊₁ is one) is returned stored as its rows,
+    by ``_stored``; any other automaton holds its transitions.
     """
     builder = _Builder(g)
-    q0 = builder.fresh_state()
+    q0 = builder.fresh_state()  # state 0, the initial state that _stored sets
     qf = builder.fresh_state()
     builder.emit(q0, (nt(g.start),), qf)
-    transitions = frozenset(builder.transitions)
-    a = _nfa(builder.num_states, g.terminals, transitions, q0, frozenset({qf}))
-    return a if _all_productive(g) else trim(a)
+    a = _stored(builder.num_states, g.terminals, builder.transitions, frozenset({qf}))
+    if _all_productive(g):
+        return a
+    t = trim(a)
+    return t if t is a else _stored(t.num_states, t.alphabet, t.transitions, t.accepting)
 
 
 def nederhof(g: Cfg) -> Nfa:

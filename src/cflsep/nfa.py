@@ -3,17 +3,24 @@
 States are dense integers local to each automaton, and values are immutable,
 so automata can be shared freely. An operation whose result would equal its
 argument returns the argument itself: ``trim`` of a trim automaton,
-``eliminate_epsilon`` of an epsilon-free one. A value records one fact in
-its ``__dict__``: the successor rows of a DFA that a kernel built row by row
-(``_minimal``, ``complement``, ``determinize``, the product walk), recorded
-by ``_from_rows`` and never attached later; they take no part in ``==`` and
-``hash``. Labels are terminal names (arbitrary strings) or ``None`` for
-epsilon.
+``eliminate_epsilon`` of an epsilon-free one. Labels are terminal names
+(arbitrary strings) or ``None`` for epsilon.
+
+A value is stored in one of two forms. A DFA that a kernel built row by row
+(``_minimal``, ``complement``, ``determinize``, the product walk) and an
+epsilon-free DFA that ``make_fa`` or ``sigma_star`` built is stored as its
+rows alone, recorded by ``_from_rows`` in its ``__dict__``: ``rows[q][c]`` is
+the target of ``q`` on ``alphabet[c]``, -1 for none. Its ``transitions`` are
+built from the rows the first time something reads them, and then kept
+(``Nfa.__getattr__``). Every other value holds its ``transitions``. The rows
+take no part in ``==`` and ``hash``, and ``hash`` reads no transitions, so a
+value stored as rows can key a dict without building them.
 
 Every walk reads deterministic rows: ``rows[q][c]`` is the target of ``q``
 on the symbol ``columns[c]``, -1 for none. ``_dfa`` hands a walk the rows
-recorded on a value, or builds them from the transitions of an epsilon-free
-DFA; any other operand of ``intersect``, ``difference``, ``minimize`` or
+recorded on a value, or builds them from its edges (``_edges``: the rows
+when it has them, else the transitions) when it is an epsilon-free DFA; any
+other operand of ``intersect``, ``difference``, ``minimize`` or
 ``shortest_common_word`` is first determinized by the subset construction
 (Rabin & Scott 1959), which keeps its language. That construction is the
 one behind ``complement`` too; it unions a subset's targets per column into
@@ -28,7 +35,7 @@ transition endpoint are in range, and that every label is epsilon or in the
 alphabet, and records nothing: a value rebuilt through it from another's
 fields is checked again and drops the other's rows. A value whose states a
 kernel numbered itself is valid by construction and is built directly by
-``_nfa``, which checks nothing.
+``_nfa`` or ``_from_rows``, which check nothing.
 """
 
 from __future__ import annotations
@@ -81,6 +88,18 @@ class Nfa(Value):
     def states(self) -> range:
         return range(self.num_states)
 
+    def __getattr__(self, name: str) -> frozenset[tuple[int, str | None, int]]:
+        """The ``transitions`` of a value stored as rows, built from the rows
+        on first read and kept; any other missing attribute is an error."""
+        if name != "transitions" or "_rows" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        transitions = frozenset(_edges(self))
+        object.__setattr__(self, "transitions", transitions)
+        return transitions
+
+    def __hash__(self) -> int:  # equal values have equal fields, so this is a valid hash
+        return hash((self.num_states, self.alphabet, self.initial, self.accepting))
+
     def has_epsilon(self) -> bool:  # a value with rows is an epsilon-free DFA
         return "_rows" not in self.__dict__ and any(x is None for _, x, _ in self.transitions)
 
@@ -92,9 +111,10 @@ def _nfa(
     initial: int,
     accepting: frozenset[int],
 ) -> Nfa:
-    """An ``Nfa`` set up without the checks of ``Nfa.__init__``, for kernels
-    whose output is valid by construction. It sets the fields the way that
-    ``__init__`` does after its checks, and records nothing else."""
+    """An ``Nfa`` held as its transitions, set up without the checks of
+    ``Nfa.__init__``, for kernels whose output is valid by construction. It
+    sets the fields the way that ``__init__`` does after its checks, and
+    records nothing else; ``_from_rows`` builds a value held as rows."""
     a = object.__new__(Nfa)
     object.__setattr__(a, "num_states", num_states)
     object.__setattr__(a, "alphabet", alphabet)
@@ -102,6 +122,39 @@ def _nfa(
     object.__setattr__(a, "initial", initial)
     object.__setattr__(a, "accepting", accepting)
     return a
+
+
+def _edges(a: Nfa) -> Iterable[tuple[int, str | None, int]]:
+    """The edges of ``a``: read off its rows when it is stored as rows, so
+    that a walk over them does not build its transitions."""
+    rows = a.__dict__.get("_rows")
+    if rows is None:
+        return a.transitions
+    alphabet = a.alphabet
+    return ((q, x, r) for q, row in enumerate(rows) for x, r in zip(alphabet, row) if r >= 0)
+
+
+def _rows_over(
+    num_states: int, edges: Iterable[tuple[int, str | None, int]], columns: Sequence[str]
+) -> list[list[int]] | None:
+    """The rows over ``columns`` (a symbol fills its first column, other
+    labels are left out) of the automaton with ``num_states`` states and
+    ``edges``; ``None`` on an epsilon edge or on a second target for a
+    column, where the automaton is no DFA over ``columns``."""
+    index: dict[str, int] = {}
+    for c, x in enumerate(columns):
+        index.setdefault(x, c)
+    rows = [[-1] * len(columns) for _ in range(num_states)]
+    for q, x, r in edges:
+        if x is None:
+            return None
+        c = index.get(x)
+        if c is not None:
+            row = rows[q]
+            if row[c] >= 0:
+                return None
+            row[c] = r
+    return rows
 
 
 def _merge_alphabets(*alphabets: Sequence[str]) -> tuple[str, ...]:
@@ -169,7 +222,7 @@ def trim(a: Nfa) -> Nfa:
     Returns ``a`` itself when every state is useful."""
     forward: list[list[int]] = [[] for _ in a.states]
     backward: list[list[int]] = [[] for _ in a.states]
-    for q, _, r in a.transitions:
+    for q, _, r in _edges(a):
         forward[q].append(r)
         backward[r].append(q)
     reached, coreached = _reach((a.initial,), forward), _reach(a.accepting, backward)
@@ -180,7 +233,7 @@ def trim(a: Nfa) -> Nfa:
             renum[q] = i
         transitions = frozenset(
             (renum[q], x, renum[r])
-            for q, x, r in a.transitions
+            for q, x, r in _edges(a)
             if renum[q] >= 0 and renum[r] >= 0
         )
         accepting = frozenset(renum[q] for q in a.accepting if renum[q] >= 0)
@@ -190,14 +243,32 @@ def trim(a: Nfa) -> Nfa:
 
 def _from_rows(alphabet: tuple[str, ...], rows: list[list[int]], accepting: frozenset[int]) -> Nfa:
     """The epsilon-free DFA with initial state 0 and the edge
-    ``q -alphabet[c]-> rows[q][c]`` for each ``rows[q][c] >= 0``, its rows
-    recorded: the one place a value gets a fact beyond its fields."""
-    transitions = frozenset(
-        (q, x, r) for q, row in enumerate(rows) for x, r in zip(alphabet, row) if r >= 0
-    )
-    a = _nfa(len(rows), alphabet, transitions, 0, accepting)
+    ``q -alphabet[c]-> rows[q][c]`` for each ``rows[q][c] >= 0``, stored as
+    its rows alone: the one place a value gets a fact beyond its fields. It
+    sets every field but ``transitions``, which ``Nfa.__getattr__`` builds
+    from the rows when it is first read."""
+    a = object.__new__(Nfa)
+    object.__setattr__(a, "num_states", len(rows))
+    object.__setattr__(a, "alphabet", alphabet)
+    object.__setattr__(a, "initial", 0)
+    object.__setattr__(a, "accepting", accepting)
     a.__dict__["_rows"] = rows
     return a
+
+
+def _stored(
+    num_states: int,
+    alphabet: tuple[str, ...],
+    edges: Iterable[tuple[int, str | None, int]],
+    accepting: frozenset[int],
+) -> Nfa:
+    """The automaton with initial state 0 and ``edges`` (a collection, read
+    up to twice), valid by construction: stored as its rows when it is an
+    epsilon-free DFA, else as its transitions."""
+    rows = _rows_over(num_states, edges, alphabet)
+    if rows is None:
+        return _nfa(num_states, alphabet, frozenset(edges), 0, accepting)
+    return _from_rows(alphabet, rows, accepting)
 
 
 def _subsets(
@@ -211,7 +282,7 @@ def _subsets(
     of ``q``'s edges on ``alpha[c]``; each column of a row becomes a set."""
     index = {x: c for c, x in enumerate(alpha)}
     table: list[list[tuple[int, ...]]] = [[()] * len(alpha) for _ in a.states]
-    for q, x, r in a.transitions:
+    for q, x, r in _edges(a):
         c = index.get(x)
         if c is not None:
             table[q][c] += (r,)
@@ -247,23 +318,16 @@ def _dfa(a: Nfa, columns: tuple[str, ...]) -> tuple[Nfa, list[list[int]]]:
     """An automaton of ``L(a)`` and its rows over ``columns`` (a symbol fills
     its first column): the rows recorded on ``a`` when ``a.alphabet`` starts
     ``columns`` (the walks zip rows, so a short row just ends early), else
-    rows built, not recorded, from ``eliminate_epsilon(a)``'s transitions, or
-    from ``determinize(a)`` once a column gets a second target."""
+    rows that ``_rows_over`` builds, not recorded, from the edges of
+    ``eliminate_epsilon(a)``, or from ``determinize(a)`` once a column gets
+    a second target."""
     rows = a.__dict__.get("_rows")
     if rows is not None and columns[: len(a.alphabet)] == a.alphabet:
         return a, rows
     a = eliminate_epsilon(a)
-    index: dict[str, int] = {}
-    for c, x in enumerate(columns):
-        index.setdefault(x, c)
-    rows = [[-1] * len(columns) for _ in a.states]
-    for q, x, r in a.transitions:
-        c = index.get(x)
-        if c is not None:
-            row = rows[q]
-            if row[c] >= 0:
-                return _dfa(determinize(a), columns)
-            row[c] = r
+    rows = _rows_over(a.num_states, _edges(a), columns)
+    if rows is None:
+        return _dfa(determinize(a), columns)
     return a, rows
 
 
@@ -397,7 +461,7 @@ def union(*parts: Nfa) -> Nfa:
     offset = 1
     for p in parts:
         transitions.add((0, None, offset + p.initial))
-        transitions |= {(q + offset, x, r + offset) for q, x, r in p.transitions}
+        transitions |= {(q + offset, x, r + offset) for q, x, r in _edges(p)}
         accepting |= {q + offset for q in p.accepting}
         offset += p.num_states
     alpha = _merge_alphabets(*(p.alphabet for p in parts))
@@ -415,7 +479,7 @@ def difference(a: Nfa, b: Nfa) -> Nfa:
 
 def is_empty(a: Nfa) -> bool:
     out: list[list[int]] = [[] for _ in a.states]
-    for q, _, r in a.transitions:
+    for q, _, r in _edges(a):
         out[q].append(r)
     reached = _reach((a.initial,), out)
     return not any(reached[q] for q in a.accepting)
@@ -485,7 +549,7 @@ def to_dot(a: Nfa, name: str = "nfa") -> str:
         shape = "doublecircle" if q in a.accepting else "circle"
         lines.append(f'  q{q} [shape={shape}, label="{q}"];')
     lines.append(f"  __start -> q{a.initial};")
-    for q, x, r in sorted(a.transitions, key=lambda t: (t[0], t[2], t[1] or "")):
+    for q, x, r in sorted(_edges(a), key=lambda t: (t[0], t[2], t[1] or "")):
         label = '"ε"' if x is None else _quoted(x)
         lines.append(f"  q{q} -> q{r} [label={label}];")
     lines.append("}")

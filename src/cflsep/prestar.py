@@ -39,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .grammar import Cfg, GrammarError, Production, fresh_name, normalize, nt
-from .nfa import Nfa, _nfa, eliminate_epsilon, word_automaton
+from .nfa import Nfa, _edges, _nfa, eliminate_epsilon, word_automaton
 
 _EMPTY: frozenset[int] = frozenset()
 _NONE: tuple = ((), (), ())  # the rule index entry of a symbol that no rule reads
@@ -138,7 +138,7 @@ class _Saturator:
         for q in a.states:
             for lhs in eps_lhs:
                 self.add(q, lhs, q)
-        for q, x, r in sorted(a.transitions, key=lambda tr: (tr[0], tr[1] or "", tr[2])):
+        for q, x, r in sorted(_edges(a), key=lambda tr: (tr[0], tr[1] or "", tr[2])):
             self.add_edge(q, x, r)
         if context:  # seeded as a triple, not as an edge: no label can play it
             _, self.rules, self.hat, self.parents = _context(g)

@@ -5,7 +5,8 @@ and sets each one in its own ``__init__`` with ``object.__setattr__``, after
 any checks. ``Value`` then gives it the semantics of a frozen record, with
 no code generated at import: assignment and deletion raise
 ``AttributeError``; two values are equal when they are of the same class and
-their field tuples are equal; the hash is the hash of the field tuple;
+their field tuples are equal; the hash is the hash of the field tuple,
+except that ``Nfa``'s hash leaves out ``transitions`` and so reads none;
 ``repr`` names every field; and ``__match_args__`` lists the fields, so a
 ``case`` pattern can bind them by position. Instances keep a ``__dict__``:
 a kernel may record a fact there that takes no part in ``==`` and ``hash``.

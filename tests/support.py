@@ -4,7 +4,9 @@ code they check."""
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from pathlib import Path
 
@@ -78,6 +80,29 @@ def rebuild(value, **changes):
     the result records nothing that ``value`` recorded."""
     fields = {name: getattr(value, name) for name in type(value).__match_args__}
     return type(value)(**{**fields, **changes})
+
+
+def check_stored_as_rows(v: Nfa, transitions: frozenset) -> None:
+    """``v`` is stored as rows alone and reads as ``transitions`` once they
+    are built: equal and hashed like its ``Nfa(...)`` rebuild, and pickled,
+    copied and deep-copied with its rows, before and after the build."""
+    assert "_rows" in vars(v) and "transitions" not in vars(v)
+    assert getattr(v, "nope", None) is None
+    plain = Nfa(v.num_states, v.alphabet, transitions, v.initial, v.accepting)
+    assert "_rows" not in vars(plain)
+    rows = copy.deepcopy(vars(v)["_rows"])
+    lazy = [pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)]
+    for w in [v] + lazy:  # the hash reads no transitions
+        assert vars(w)["_rows"] == rows and hash(w) == hash(plain) and "transitions" not in vars(w)
+    for w in lazy:
+        assert w == plain and plain == w
+    assert v == plain and plain == v
+    assert vars(v)["transitions"] == transitions and v.transitions is vars(v)["transitions"]
+    built = [pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)]
+    for w in [v] + lazy + built:
+        assert vars(w)["_rows"] == rows and vars(w)["transitions"] == transitions
+        assert w == plain and hash(w) == hash(plain)
+    assert getattr(v, "nope", None) is None
 
 
 def words_upto(alphabet: tuple[str, ...], max_len: int):

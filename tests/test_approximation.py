@@ -28,7 +28,15 @@ from oracles import (
     regex_to_nfa,
     star,
 )
-from support import DEEP_CHAIN, FIXTURES, LONG_RULE, grammar, random_cfg, words_upto
+from support import (
+    DEEP_CHAIN,
+    FIXTURES,
+    LONG_RULE,
+    check_stored_as_rows,
+    grammar,
+    random_cfg,
+    words_upto,
+)
 
 ANCBN = grammar('grammar G { start A; A -> "a" B "b" | "c"; B -> A; }')
 A_STAR_C_B_STAR = regex_to_nfa(cat(star(lit("a")), lit("c"), star(lit("b"))))
@@ -168,6 +176,31 @@ def test_make_fa_of_a_productive_grammar_never_trims(monkeypatch):
         a = make_fa(g)
         assert a == _built(g)
     assert a.num_states == 2**12 + 1
+
+
+def test_nederhof_of_a_dag_is_stored_as_rows():
+    # the builder's automaton of Nᵢ → Nᵢ₊₁ Nᵢ₊₁ is an epsilon-free DFA
+    for depth in range(9):
+        g = _dag(depth)
+        a = nederhof(g)
+        assert a.num_states == 2**depth + 1
+        check_stored_as_rows(a, _built(strongly_regular(g)).transitions)
+
+
+def test_make_fa_stores_rows_only_for_epsilon_free_dfas():
+    as_transitions = (
+        'S -> "a" | ;',  # an epsilon edge
+        'S -> "a" "b" | "a" "c";',  # two edges on "a" from one state
+        'S -> "a" S | "b";',  # a right-linear block is entered by epsilon
+    )
+    for rules in as_transitions:
+        a = make_fa(grammar(f"grammar G {{ start S; {rules} }}"))
+        assert "transitions" in vars(a) and "_rows" not in vars(a), rules
+    # the trim of an unproductive grammar's automaton is a DFA here
+    g = grammar('grammar G { start S; S -> "b" | "a" A; A -> "c" A; }')
+    a = make_fa(g)
+    check_stored_as_rows(a, trim(_built(g)).transitions)
+    assert a.transitions == frozenset({(0, "b", 1)})
 
 
 def test_make_fa_is_the_trim_of_its_builder_on_random_grammars(monkeypatch):

@@ -17,6 +17,7 @@ from cflsep.engine import (
     classify_witness,
 )
 from cflsep.grammar import GrammarError
+from cflsep.grammar_io import parse_named
 from cflsep.nfa import difference, is_empty, minimize, to_dot
 from cflsep.prestar import PrestarSession, in_language
 
@@ -327,6 +328,28 @@ def test_random_pairs_have_valid_verdicts():
             assert _joint_witness(verdict.approximations, shared) is None
             common = enumerate_words(g1, 6) & enumerate_words(g2, 6)
             assert not common
+
+
+def test_engine_leaves_approximations_stored_as_rows():
+    # the subtractions are keyed by value and the hash reads no transitions,
+    # so no round builds the transitions of a value stored as rows
+    workloads = runpy.run_path(str(FIXTURES.parent / "bench" / "workloads.py"))
+    runs = [
+        (workloads["_dag"]({"a": "a", "b": "b"}, 10), Config("nederhof", "greedy-eps")),
+        (
+            workloads["_palindromes"]({"l0": "a", "l1": "b", "l2": "d", "c": "c"}, 3, 0, 1),
+            Config("sigma-star", "greedy-star"),
+        ),
+    ]
+    for text, cfg in runs:
+        verdict = check_disjoint([g for _, g in parse_named(text)], cfg)
+        assert isinstance(verdict, Separable)
+        first = verdict.approximations[0]  # the DAG's or the palindromes'
+        assert first.num_states > 1 and "_rows" in vars(first)
+        for a in verdict.approximations:
+            assert "_rows" not in vars(a) or "transitions" not in vars(a)
+    # the palindrome run refines, so each round's lookup hashed its values
+    assert verdict.iterations > 0 and all("_rows" in vars(a) for a in verdict.approximations)
 
 
 def test_bench_tracer_finds_its_patch_points():

@@ -54,7 +54,17 @@ from oracles import (
     regex_to_nfa,
     star,
 )
-from support import FIXTURES, hand_nfa, load_fixture, random_cfg, random_nfa, rebuild, words_upto
+from support import (
+    AIBI1,
+    FIXTURES,
+    check_stored_as_rows,
+    hand_nfa,
+    load_fixture,
+    random_cfg,
+    random_nfa,
+    rebuild,
+    words_upto,
+)
 
 SIGMA_STAR = hand_nfa(1, ("a", "b"), {(0, "a", 0), (0, "b", 0)}, 0, {0})
 
@@ -497,6 +507,51 @@ def test_replace_drops_rows_while_pickle_and_copy_keep_them():
             emptied = rebuild(v, transitions=frozenset())
             assert _dfa(emptied, v.alphabet)[1] == [[-1] * len(v.alphabet)] * v.num_states
             assert shortest_common_word([emptied], v.alphabet) in (None, ())
+
+
+def _eager_transitions(v: Nfa) -> frozenset:
+    """The transitions that ``_from_rows`` built from a value's rows when it
+    still built them at once."""
+    rows = vars(v)["_rows"]
+    return frozenset(
+        (q, x, r) for q, row in enumerate(rows) for x, r in zip(v.alphabet, row) if r >= 0
+    )
+
+
+def test_kernel_values_are_stored_as_rows_alone():
+    for values in _row_values().values():
+        for v in values:
+            check_stored_as_rows(v, _eager_transitions(v))
+
+
+def test_sigma_star_is_stored_as_its_one_row():
+    for alphabet in ((), ("a",), ("a", "b"), ("b", "a", "b")):
+        v = sigma_star(alphabet)
+        assert vars(v)["_rows"] == [[0] * len(set(alphabet))]
+        check_stored_as_rows(v, frozenset((0, x, 0) for x in alphabet))
+
+
+def test_walks_over_a_value_stored_as_rows_leave_its_transitions_unbuilt():
+    # every walk reads the rows; each result equals the one over the value
+    # rebuilt with its transitions
+    rng = random.Random(46)
+    for values in _row_values().values():
+        for v in values[::3]:
+            columns = tuple(rng.sample(v.alphabet, len(v.alphabet))) + ("z",)
+            other = rng.choice(values)
+
+            def walks(a):
+                # a recorded row may be shorter than the columns: it ends early
+                rows = [row + [-1] * (len(columns) - len(row)) for row in _dfa(a, columns)[1]]
+                return (
+                    trim(a), is_empty(a), complement(a, ("a", "b")), determinize(a), minimize(a),
+                    rows, to_dot(a), union(a, a), intersect(a, other),
+                    shortest_common_word([a, other], columns), intersects(AIBI1, a),
+                )
+
+            got = walks(v)
+            assert "transitions" not in vars(v)
+            assert got == walks(Nfa(v.num_states, v.alphabet, _eager_transitions(v), 0, v.accepting))
 
 
 def _rows_over(a: Nfa, columns: tuple[str, ...]) -> list[list[int]]:
